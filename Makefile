@@ -34,7 +34,7 @@ bench-obs:
 bench-spans:
 	REPRO_BENCH_SITES=6000 $(PY) -m pytest benchmarks/bench_crawl_throughput.py -k spans --benchmark-only
 
-# Execution-backend matrix: serial vs thread vs process at 1/2/4/8
+# Execution-backend matrix: serial vs process at 1/2/4/8
 # workers, with per-cell speedup over the sequential protocol.
 bench-parallel:
 	REPRO_BENCH_SITES=6000 $(PY) -m pytest benchmarks/bench_parallel_crawl.py --benchmark-only
@@ -131,7 +131,7 @@ serve-smoke:
 # scale (the same run CI's validate job performs).
 validate:
 	PYTHONPATH=src $(PY) -m repro validate --metamorphic \
-		--sites 500 --shard-counts 1,2,3,5 --backends serial,thread,process
+		--sites 500 --shard-counts 1,2,3,5 --backends serial,process
 
 # Report portal: crawl a reduced-scale instrumented campaign, render
 # the static HTML site, and verify it is self-contained (the same run

@@ -8,7 +8,6 @@ checkpoints must be far cheaper than re-crawling.
 
 from conftest import BENCH_SITES, show, world  # noqa: F401 - pytest fixture
 
-from repro.crawler.parallel import ShardedCrawl
 from repro.crawler.resumable import ResumableCrawl
 
 SHARDS = 8
@@ -18,7 +17,7 @@ CHECKPOINT_EVERY = max(50, BENCH_SITES // (SHARDS * 8))
 
 
 def test_checkpointed_crawl(benchmark, world, tmp_path):  # noqa: F811
-    baseline = ShardedCrawl(world, shard_count=SHARDS).run()
+    baseline = ResumableCrawl(world, None, shard_count=SHARDS).run().result
     outcome = benchmark.pedantic(
         ResumableCrawl(
             world,

@@ -1,16 +1,14 @@
 """System benchmark — execution-backend matrix for the sharded campaign.
 
 Runs the 8-shard campaign under every backend × worker-count combination
-(serial, thread and process at 1/2/4/8 workers), prints each run's
-wall-clock speedup over the sequential protocol, and asserts that every
-backend produced identical results — the determinism contract that makes
-the backend a pure scheduling choice.
+(serial, and process at 1/2/4/8 workers), prints each run's wall-clock
+speedup over the sequential protocol, and asserts that every backend
+produced identical results — the determinism contract that makes the
+backend a pure scheduling choice.
 
-The process backend is the one expected to scale with cores: thread
-workers share the GIL over a pure-Python CPU-bound visit loop, so their
-"parallelism" is bookkeeping only.  On a single-core runner the matrix
-still verifies correctness; the ≥2× process-vs-thread separation shows
-up on multi-core hardware.
+The process backend is the one expected to scale with cores.  On a
+single-core runner the matrix still verifies correctness; the
+process-vs-serial separation shows up on multi-core hardware.
 """
 
 import json
@@ -18,17 +16,13 @@ import time
 
 from conftest import show
 
-from repro.crawler.parallel import ShardedCrawl
+from repro.crawler.resumable import ResumableCrawl
 
 SHARDS = 8
 
 #: (backend, max_workers) grid; serial ignores the worker count.
 MATRIX = (
     ("serial", 1),
-    ("thread", 1),
-    ("thread", 2),
-    ("thread", 4),
-    ("thread", 8),
     ("process", 1),
     ("process", 2),
     ("process", 4),
@@ -52,9 +46,9 @@ def test_backend_matrix(benchmark, world, crawl):
     keys = {}
     for backend, workers in MATRIX:
         started = time.perf_counter()
-        result = ShardedCrawl(
-            world, shard_count=SHARDS, backend=backend, max_workers=workers
-        ).run()
+        result = ResumableCrawl(
+            world, None, shard_count=SHARDS, backend=backend, max_workers=workers
+        ).run().result
         timings.append((backend, workers, time.perf_counter() - started))
         keys[(backend, workers)] = _result_key(result)
 
@@ -63,7 +57,9 @@ def test_backend_matrix(benchmark, world, crawl):
     # the recorded figure a steady-state one (plans and caches hot),
     # matching how test_crawl_throughput measures.
     representative = benchmark.pedantic(
-        ShardedCrawl(world, shard_count=SHARDS, backend="thread").run,
+        lambda: ResumableCrawl(
+            world, None, shard_count=SHARDS, backend="serial"
+        ).run().result,
         rounds=1,
         iterations=1,
         warmup_rounds=1,

@@ -115,9 +115,9 @@ class SitePlan:
 class VisitPlanner:
     """Per-world, per-script-origin-mode cache of :class:`SitePlan`s.
 
-    Shared by every browser over one world (serial shards, all threads,
-    and — via the worker world cache — every campaign a worker process
-    runs), so each (domain, consent) page is walked exactly once per
+    Shared by every browser over one world (serial shards, concurrent
+    service jobs, and — via the worker world cache — every campaign a
+    worker process runs), so each (domain, consent) page is walked exactly once per
     process instead of once per visit.
     """
 
@@ -136,8 +136,8 @@ class VisitPlanner:
         """
         pair = self._pairs.get(domain)
         if pair is None:
-            # setdefault keeps the first builder's pair under concurrent
-            # thread-backend races; both builds are identical anyway.
+            # setdefault keeps the first compiled pair when concurrent
+            # service jobs race; both builds are identical anyway.
             pair = self._pairs.setdefault(domain, self._compile_pair(domain))
         return pair[1] if consent_granted else pair[0]
 

@@ -35,8 +35,6 @@ from repro.analysis.export import export_study
 from repro.analysis.questionable import figure5
 from repro.crawler.archive import load_crawl, save_crawl
 from repro.crawler.campaign import CrawlCampaign
-from repro.crawler.executor import BACKEND_ENV_VAR, BACKEND_NAMES
-from repro.crawler.parallel import ShardedCrawl
 from repro.crawler.wellknown import probe_domain
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.paper import render_comparisons
@@ -48,6 +46,7 @@ from repro.privacy.experiment import (
     sweep_epochs,
     sweep_noise,
 )
+from repro.util.executor import BACKEND_ENV_VAR, BACKEND_NAMES
 from repro.util.timeline import timestamp_from_date
 from repro.web.config import WorldConfig
 from repro.web.generator import WebGenerator
@@ -111,33 +110,35 @@ def _cmd_crawl(args: argparse.Namespace) -> int:
     metrics = MetricsRegistry() if instrument else NULL_METRICS
 
     world = WebGenerator(_world_config(args)).generate()
+    sharded = bool(args.checkpoint_dir) or args.shards > 1
 
     tracker = None
     spans = NULL_RECORDER
     if recording:
-        targets = len(world.tranco.domains)
-        if args.shards <= 1 and args.limit is not None:
-            targets = min(targets, args.limit)
+        domains = world.tranco.domains[: args.limit]
         if args.progress:
             shard_sizes = None
-            if args.shards > 1:
-                from repro.crawler.parallel import plan_shards
+            if sharded:
+                from repro.crawler.executor import plan_shards
+                from repro.web.tranco import TrancoList
 
                 shard_sizes = {
                     plan.shard_index: len(plan.domains)
-                    for plan in plan_shards(world.tranco, args.shards)
+                    for plan in plan_shards(
+                        TrancoList(domains), max(args.shards, 1)
+                    )
                 }
-            tracker = ProgressTracker(targets, shard_sizes=shard_sizes)
+            tracker = ProgressTracker(len(domains), shard_sizes=shard_sizes)
         spans = SpanRecorder(listener=tracker)
 
     partial = None
-    if args.checkpoint_dir:
+    if sharded:
         from repro.crawler.checkpoint import RetryPolicy
         from repro.crawler.resumable import ResumableCrawl
 
         outcome = ResumableCrawl(
             world,
-            checkpoint_dir=args.checkpoint_dir,
+            checkpoint_dir=args.checkpoint_dir or None,
             shard_count=max(args.shards, 1),
             checkpoint_every=args.checkpoint_every,
             corrupt_allowlist=not args.healthy_allowlist,
@@ -158,17 +159,6 @@ def _cmd_crawl(args: argparse.Namespace) -> int:
             print(f"resumed shards {resumed} from {args.checkpoint_dir}/")
         if outcome.retries:
             print(f"recovered from {len(outcome.retries)} shard failure(s)")
-    elif args.shards > 1:
-        result = ShardedCrawl(
-            world,
-            shard_count=args.shards,
-            corrupt_allowlist=not args.healthy_allowlist,
-            max_workers=args.max_workers,
-            backend=args.backend,
-            tracer=tracer,
-            metrics=metrics,
-            spans=spans,
-        ).run()
     else:
         result = CrawlCampaign(
             world,
@@ -706,15 +696,15 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend",
         choices=BACKEND_NAMES,
         default=None,
-        help="shard execution backend: serial, thread (default), or "
-        "process for multi-core parallelism; also settable via "
+        help="shard execution backend: serial (default) or process for "
+        "multi-core parallelism; also settable via "
         f"{BACKEND_ENV_VAR}",
     )
     crawl.add_argument(
         "--max-workers",
         type=int,
         default=None,
-        help="worker threads/processes for sharded crawls "
+        help="worker processes for sharded crawls "
         "(default: one per shard)",
     )
     crawl.add_argument(
@@ -826,15 +816,15 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend",
         choices=BACKEND_NAMES,
         default=None,
-        help="execution backend for trace generation and ranking: serial, "
-        "thread (default), or process for multi-core parallelism; also "
+        help="execution backend for trace generation and ranking: serial "
+        "(default) or process for multi-core parallelism; also "
         f"settable via {BACKEND_ENV_VAR}",
     )
     reident.add_argument(
         "--max-workers",
         type=int,
         default=None,
-        help="worker threads/processes for the study stages "
+        help="worker processes for the study stages "
         "(default: one per CPU)",
     )
     reident.set_defaults(func=_cmd_reident)
@@ -891,14 +881,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend",
         choices=BACKEND_NAMES,
         default=None,
-        help="cell execution backend: serial, thread (default), or process "
-        f"for multi-core parallelism; also settable via {BACKEND_ENV_VAR}",
+        help="cell execution backend: serial (default) or process for "
+        f"multi-core parallelism; also settable via {BACKEND_ENV_VAR}",
     )
     sweep.add_argument(
         "--max-workers",
         type=int,
         default=None,
-        help="worker threads/processes for concurrent cells "
+        help="worker processes for concurrent cells "
         "(default: one per cell)",
     )
     sweep.add_argument(
@@ -1002,7 +992,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     validate.add_argument(
         "--backends",
-        default="serial,thread",
+        default="serial,process",
         help="comma-separated backends for the backend relation",
     )
     validate.add_argument(
@@ -1048,7 +1038,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-workers",
         type=int,
         default=None,
-        help="default worker threads/processes per job",
+        help="default worker processes per job",
     )
     serve.set_defaults(func=_cmd_serve)
 

@@ -1,17 +1,18 @@
-"""Pluggable crawl execution backends: serial, thread, process.
+"""Shard execution: plan, run and ship one campaign shard.
 
-The campaign's visit simulation is pure-Python and CPU-bound, so a
-``ThreadPoolExecutor`` buys concurrency bookkeeping but no parallelism —
-the GIL serialises the actual work.  This module makes the execution
-strategy a first-class, swappable component:
+A sharded campaign splits the ranking into contiguous :class:`ShardPlan`
+slices and runs each slice as its own :class:`CrawlCampaign` with a
+private browser.  :func:`execute_shard` is the one shard runner: it runs
+a shard to completion, checkpointing into an optional
+:class:`CheckpointStore` and retrying a dying shard from its newest
+checkpoint (or from scratch, without a store).
 
-* ``serial``  — run shards one after another in the calling thread (the
-  reference executor: zero scheduling noise, easiest to debug);
-* ``thread``  — the historical default: one worker thread per shard
-  (cheap to start, shares the in-memory world, GIL-bound);
-* ``process`` — one worker **process** per shard via
-  ``ProcessPoolExecutor`` on the spawn context: true multi-core
-  parallelism for the CPU-bound visit loop.
+Shards run on one of the two strategies in :mod:`repro.util.executor`:
+
+* ``serial``  — in the calling thread (the default; the visit loop is
+  CPU-bound pure Python, so threads would buy no parallelism);
+* ``process`` — one worker **process** per shard, for multi-core
+  parallelism.
 
 Because worker processes share nothing, the process backend needs every
 shard input to be picklable and every shard output to travel back as
@@ -25,26 +26,22 @@ plain data:
   silently crawl a different world than its parent planned;
 * a :class:`ShardResult` carries the visit records, report counters,
   trace events, metrics snapshot and span tree back to the parent,
-  which rehydrates them into the same in-memory shapes the thread
-  backend produces — one merge implementation, zero drift.
+  which rehydrates them into the same :class:`ShardExecution` an
+  in-process shard produces — one merge implementation, zero drift.
 
 Reconstructed worlds are cached per worker process (keyed by
 fingerprint) and worker pools are reused across runs, so repeated
 campaigns over the same world pay the generator cost once per worker.
-
-The backend is chosen per run: explicitly (``backend=`` /
-``--backend``), or via the ``REPRO_CRAWL_BACKEND`` environment variable,
-defaulting to ``thread``.  All three backends produce **byte-identical**
-datasets, reports and merged traces — shards are deterministic and
-order-independent, and the tests pin this across backends, including
-resumed-after-crash process runs.
+Both backends produce **byte-identical** datasets, reports and merged
+traces — shards are deterministic and order-independent, and the tests
+pin this, including resumed-after-crash process runs.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable
 
 from repro.crawler.campaign import CrawlCampaign, CrawlReport, CrawlResult
 from repro.crawler.checkpoint import CheckpointStore, RetryPolicy
@@ -64,27 +61,18 @@ from repro.obs import (
     Tracer,
 )
 from repro.obs.spans import SPAN_SHARD, SPAN_SHARD_RETRY
-from repro.util.executor import (  # noqa: F401  — re-exported: the backend
-    # strategies moved to their shared home (repro.util.executor) when the
-    # population data plane started sharding over them too; every crawl-era
-    # import path (tests, CLI, scenarios) keeps working through this module.
-    BACKEND_ENV_VAR,
-    BACKEND_NAMES,
-    DEFAULT_BACKEND,
-    ExecutionBackend,
-    ProcessBackend,
-    SerialBackend,
-    ThreadBackend,
-    create_backend,
-    is_picklable,
-    resolve_backend_name,
-)
 from repro.util.text import stable_digest
 from repro.web.tranco import TrancoList
 
 if TYPE_CHECKING:
     from repro.web.config import WorldConfig
     from repro.web.generator import SyntheticWeb
+
+#: A fault hook: called with (position, domain) before each visit.
+FaultHook = Callable[[int, str], None]
+
+#: Test seam: (shard_index, attempt) -> per-visit fault hook (or None).
+FaultInjector = Callable[[int, int], "FaultHook | None"]
 
 
 # -- shard planning ------------------------------------------------------------
@@ -122,6 +110,31 @@ def plan_shards(tranco: TrancoList, shard_count: int) -> list[ShardPlan]:
         )
         start += size
     return [plan for plan in plans if plan.domains]
+
+
+def effective_shard_count(
+    requested: int, targets: int, tracer: Tracer = NULL_TRACER
+) -> int:
+    """Clamp a shard count to the number of crawl targets.
+
+    A campaign asked to split 6 domains across 16 shards used to plan 10
+    empty shards (filtered later) while still sizing its worker pool for
+    16 — pure overhead.  Clamping keeps the plan layout identical (the
+    remainder distribution gives the same slices either way) and records
+    the adjustment as a ``shard-empty`` trace event.
+    """
+    if requested <= 0:
+        raise ValueError(f"shard_count must be positive, got {requested}")
+    effective = max(1, min(requested, targets))
+    if effective < requested:
+        tracer.emit(
+            EventKind.SHARD_EMPTY,
+            at=0,
+            requested=requested,
+            effective=effective,
+            targets=targets,
+        )
+    return effective
 
 
 class _ShardView:
@@ -165,7 +178,12 @@ class ShardRetryRecord:
 
 @dataclass
 class ShardExecution:
-    """A resumable shard's full outcome: success or degraded prefix."""
+    """A shard's full outcome: success, or a degraded shard that gave up.
+
+    ``outcome`` is ``None`` only for a shard that exhausted its retries
+    under ``allow_partial``; :class:`ResumableCrawl` then merges its
+    durable prefix.
+    """
 
     plan: ShardPlan
     outcome: ShardOutcome | None
@@ -194,74 +212,20 @@ class ShardFailedError(RuntimeError):
         return (type(self), (self.shard_index, self.attempts, self.cause))
 
 
-# -- core shard execution (shared by every backend) ----------------------------
+# -- the shard runner (shared by every backend) --------------------------------
 
 
 def execute_shard(
     world: "SyntheticWeb",
     plan: ShardPlan,
     *,
-    corrupt_allowlist: bool,
-    trace: bool,
-    metrics: bool,
-    spans: bool,
-    span_listener: Callable[[Span], None] | None = None,
-) -> ShardOutcome:
-    """Run one shard of a plain (non-resumable) campaign.
-
-    Each shard records into private instrumentation so workers never
-    contend; the merge folds them deterministically.  Span recorders
-    take the campaign recorder's listener so a live progress line keeps
-    updating from every worker thread (process workers deliver their
-    spans when the shard completes instead).
-    """
-    tracer = Tracer() if trace else NULL_TRACER
-    registry = MetricsRegistry() if metrics else NULL_METRICS
-    recorder = (
-        SpanRecorder(
-            common_fields={"shard": plan.shard_index},
-            listener=span_listener,
-        )
-        if spans
-        else NULL_RECORDER
-    )
-    tracer.emit(
-        EventKind.SHARD_STARTED,
-        at=0,
-        shard=plan.shard_index,
-        domains=len(plan.domains),
-        rank_offset=plan.rank_offset,
-    )
-    # A private ranking restores the shard's global ranks via the
-    # campaign's enumerate; ranks are rebased during the merge.
-    shard_world = _ShardView(world, TrancoList(plan.domains))
-    campaign = CrawlCampaign(
-        shard_world,  # type: ignore[arg-type]  # structural stand-in
-        corrupt_allowlist=corrupt_allowlist,
-        user_seed=plan.shard_index,
-        tracer=tracer,
-        metrics=registry,
-        spans=recorder,
-        span_root=SPAN_SHARD,
-        survey=False,
-    )
-    return ShardOutcome(
-        result=campaign.run(), tracer=tracer, metrics=registry, spans=recorder
-    )
-
-
-def execute_resumable_shard(
-    world: "SyntheticWeb",
-    plan: ShardPlan,
-    *,
-    store: CheckpointStore,
+    store: CheckpointStore | None,
     checkpoint_every: int,
     resume: bool,
     corrupt_allowlist: bool,
     policy: RetryPolicy,
     allow_partial: bool,
-    fault_injector: Callable[[int, int], Callable[[int, str], None] | None]
-    | None = None,
+    fault_injector: FaultInjector | None = None,
     trace: bool,
     metrics: bool,
     spans: bool,
@@ -269,22 +233,23 @@ def execute_resumable_shard(
 ) -> ShardExecution:
     """Run one shard to completion, retrying from its checkpoints.
 
-    Raises :class:`ShardFailedError` once the retry budget is exhausted
-    unless ``allow_partial`` — then the durable prefix is reported as a
-    degraded :class:`ShardExecution` with ``outcome=None``.
+    Without a ``store`` nothing is written and a retry starts the shard
+    over.  Raises :class:`ShardFailedError` once the retry budget is
+    exhausted unless ``allow_partial`` — then the durable prefix is
+    reported as a degraded :class:`ShardExecution` with ``outcome=None``.
     """
     failures = 0
     retries: list[ShardRetryRecord] = []
     initial_resume: int | None = None
     while True:
         checkpoint = None
-        if resume or failures > 0:
+        if store is not None and (resume or failures > 0):
             checkpoint = store.latest(plan.shard_index)
         if failures == 0 and checkpoint is not None:
             initial_resume = checkpoint.visits_done
         attempt = failures + 1
         try:
-            outcome = _attempt_resumable_shard(
+            outcome = _attempt_shard(
                 world,
                 plan,
                 checkpoint,
@@ -314,13 +279,12 @@ def execute_resumable_shard(
             # timeline: the pause is accounted for in spans/metrics but
             # never advances the shard's browsing clock, so the resumed
             # dataset stays byte-identical.
-            backoff = policy.backoff_seconds(failures)
-            resumed_from = store.latest(plan.shard_index)
+            resumed_from = store.latest(plan.shard_index) if store else None
             retries.append(
                 ShardRetryRecord(
                     shard_index=plan.shard_index,
                     attempt=failures,
-                    backoff_seconds=backoff,
+                    backoff_seconds=policy.backoff_seconds(failures),
                     resumed_from=(
                         resumed_from.visits_done
                         if resumed_from is not None
@@ -339,22 +303,28 @@ def execute_resumable_shard(
         )
 
 
-def _attempt_resumable_shard(
+def _attempt_shard(
     world: "SyntheticWeb",
     plan: ShardPlan,
     checkpoint,
     attempt: int,
     *,
-    store: CheckpointStore,
+    store: CheckpointStore | None,
     checkpoint_every: int,
     corrupt_allowlist: bool,
-    fault_injector,
+    fault_injector: FaultInjector | None,
     trace: bool,
     metrics: bool,
     spans: bool,
     span_listener: Callable[[Span], None] | None,
 ) -> ShardOutcome:
-    """One execution attempt of a resumable shard (fresh instrumentation)."""
+    """One execution attempt of a shard, with fresh private instrumentation.
+
+    Each shard records into its own tracer/metrics/spans so the merge can
+    fold them deterministically.  The span recorder takes the campaign
+    recorder's listener so a live progress line keeps updating (process
+    workers deliver their spans when the shard completes instead).
+    """
     tracer = Tracer() if trace else NULL_TRACER
     registry = MetricsRegistry() if metrics else NULL_METRICS
     recorder = (
@@ -377,6 +347,8 @@ def _attempt_resumable_shard(
     fault_hook = None
     if fault_injector is not None:
         fault_hook = fault_injector(plan.shard_index, attempt)
+    # A private ranking restores the shard's global ranks via the
+    # campaign's enumerate; ranks are rebased during the merge.
     shard_world = _ShardView(world, TrancoList(plan.domains))
     campaign = CrawlCampaign(
         shard_world,  # type: ignore[arg-type]  # structural stand-in
@@ -404,8 +376,8 @@ def _record_shard_recovery(
     """Stamp a recovered shard's retries into its own instrumentation.
 
     Recorded into the successful attempt's tracer/metrics/spans (not the
-    shared campaign-level ones) so workers never contend; the standard
-    shard fold then merges them deterministically.
+    shared campaign-level ones) so the standard shard fold merges them
+    deterministically.
     """
     for retry in retries:
         outcome.metrics.counter("shard_retries_total")
@@ -493,8 +465,8 @@ def _world_for(spec: WorldSpec) -> "SyntheticWeb":
         raise WorldReconstructionError(
             f"worker rebuilt a world with fingerprint {rebuilt}, parent "
             f"expected {spec.fingerprint}; the parent world was not produced "
-            "by WebGenerator(config).generate() — use the thread or serial "
-            "backend for hand-modified worlds"
+            "by WebGenerator(config).generate() — use the serial backend "
+            "for hand-modified worlds"
         )
     _WORKER_WORLD = (spec.fingerprint, world)
     return world
@@ -516,21 +488,24 @@ def worker_world(spec: WorldSpec) -> "SyntheticWeb":
 
 @dataclass(frozen=True)
 class ShardTask:
-    """A shard's complete, picklable execution order for a worker process."""
+    """A shard's complete, picklable execution order for a worker process.
+
+    ``checkpoint_dir`` is ``None`` for a campaign that writes no
+    checkpoints; the worker then runs the shard without a store.
+    """
 
     spec: WorldSpec
     plan: ShardPlan
+    checkpoint_dir: str | None
+    checkpoint_every: int
+    resume: bool
     corrupt_allowlist: bool
+    policy: RetryPolicy
+    allow_partial: bool
+    fault_injector: object | None  # must be picklable when set
     trace: bool
     metrics: bool
     spans: bool
-    # Resumable-campaign extras; checkpoint_dir None means a plain shard.
-    checkpoint_dir: str | None = None
-    checkpoint_every: int | None = None
-    resume: bool = False
-    retry_policy: RetryPolicy | None = None
-    allow_partial: bool = False
-    fault_injector: object | None = None  # must be picklable when set
 
 
 @dataclass(frozen=True)
@@ -542,11 +517,12 @@ class ShardResult:
     primitive arrays/lists, and the parent ingests them without ever
     materialising per-visit objects.
 
-    ``events``/``metrics``/``spans`` are ``None`` when the corresponding
-    instrumentation was disabled for the run.  Trace events keep their
-    shard-local order (the merge's ``(at, shard, seq)`` sort only needs
-    relative order within a shard); spans keep their original ids so the
-    merge's parent remapping is unchanged.
+    ``report`` is ``None`` for a degraded shard.  ``events``/``metrics``/
+    ``spans`` are ``None`` when the corresponding instrumentation was
+    disabled for the run.  Trace events keep their shard-local order (the
+    merge's ``(at, shard, seq)`` sort only needs relative order within a
+    shard); spans keep their original ids so the merge's parent remapping
+    is unchanged.
     """
 
     shard_index: int
@@ -561,74 +537,92 @@ class ShardResult:
     resumed_from: int | None = None
     failure: str | None = None
 
-
-def result_from_outcome(
-    shard_index: int,
-    outcome: ShardOutcome,
-    *,
-    retries: Sequence[ShardRetryRecord] = (),
-    resumed_from: int | None = None,
-) -> ShardResult:
-    """Flatten an in-memory shard outcome into its picklable transport."""
-    result = outcome.result
-    return ShardResult(
-        shard_index=shard_index,
-        d_ba=result.d_ba.buffers,
-        d_aa=result.d_aa.buffers,
-        report=result.report,
-        allowed_domains=result.allowed_domains,
-        events=tuple(outcome.tracer) if outcome.tracer.enabled else None,
-        metrics=outcome.metrics.snapshot() if outcome.metrics.enabled else None,
-        spans=tuple(outcome.spans.spans()) if outcome.spans.enabled else None,
-        retries=tuple(retries),
-        resumed_from=resumed_from,
-    )
-
-
-def outcome_from_result(
-    result: ShardResult,
-    *,
-    span_listener: Callable[[Span], None] | None = None,
-) -> ShardOutcome:
-    """Rehydrate a worker's :class:`ShardResult` into merge-ready shapes.
-
-    The reconstructed tracer/metrics/spans are indistinguishable from
-    thread-backend shard instrumentation as far as the merge is
-    concerned.  ``span_listener`` (the campaign recorder's live
-    listener) fires once per rehydrated span, so progress reporting
-    still observes every span — batched at shard completion rather than
-    live.
-    """
-    if result.report is None:
-        raise ValueError("cannot rehydrate a failed shard (report is None)")
-    tracer: Tracer = NULL_TRACER
-    if result.events is not None:
-        tracer = Tracer()
-        tracer.replay(result.events)
-    registry: MetricsRegistry = NULL_METRICS
-    if result.metrics is not None:
-        registry = MetricsRegistry()
-        registry.absorb(result.metrics)
-    recorder: SpanRecorder = NULL_RECORDER
-    if result.spans is not None:
-        recorder = SpanRecorder.from_spans(
-            result.spans, common_fields={"shard": result.shard_index}
-        )
-        if span_listener is not None:
-            for span in result.spans:
-                span_listener(span)
-    return ShardOutcome(
-        result=CrawlResult(
-            d_ba=Dataset.from_buffers("D_BA", result.d_ba),
-            d_aa=Dataset.from_buffers("D_AA", result.d_aa),
+    @classmethod
+    def of(cls, execution: ShardExecution) -> "ShardResult":
+        """Flatten an in-memory shard execution into its transport."""
+        index = execution.plan.shard_index
+        retries = tuple(execution.retries)
+        outcome = execution.outcome
+        if outcome is None:
+            return cls(
+                shard_index=index,
+                d_ba=VisitBuffers(),
+                d_aa=VisitBuffers(),
+                report=None,
+                allowed_domains=frozenset(),
+                events=None,
+                metrics=None,
+                spans=None,
+                retries=retries,
+                resumed_from=execution.resumed_from,
+                failure=execution.failure,
+            )
+        result = outcome.result
+        return cls(
+            shard_index=index,
+            d_ba=result.d_ba.buffers,
+            d_aa=result.d_aa.buffers,
             report=result.report,
             allowed_domains=result.allowed_domains,
-            survey=AttestationSurvey(()),
-        ),
-        tracer=tracer,
-        metrics=registry,
-        spans=recorder,
-    )
+            events=tuple(outcome.tracer) if outcome.tracer.enabled else None,
+            metrics=outcome.metrics.snapshot() if outcome.metrics.enabled else None,
+            spans=tuple(outcome.spans.spans()) if outcome.spans.enabled else None,
+            retries=retries,
+            resumed_from=execution.resumed_from,
+        )
+
+    def execution(
+        self,
+        plan: ShardPlan,
+        *,
+        span_listener: Callable[[Span], None] | None = None,
+    ) -> ShardExecution:
+        """Rehydrate a worker's result into the in-process shapes.
+
+        The reconstructed tracer/metrics/spans are indistinguishable from
+        an in-process shard's as far as the merge is concerned.
+        ``span_listener`` (the campaign recorder's live listener) fires
+        once per rehydrated span, so progress reporting still observes
+        every span — batched at shard completion rather than live.
+        """
+        execution = ShardExecution(
+            plan=plan,
+            outcome=None,
+            retries=list(self.retries),
+            resumed_from=self.resumed_from,
+            failure=self.failure,
+        )
+        if self.report is None:
+            return execution
+        tracer: Tracer = NULL_TRACER
+        if self.events is not None:
+            tracer = Tracer()
+            tracer.replay(self.events)
+        registry: MetricsRegistry = NULL_METRICS
+        if self.metrics is not None:
+            registry = MetricsRegistry()
+            registry.absorb(self.metrics)
+        recorder: SpanRecorder = NULL_RECORDER
+        if self.spans is not None:
+            recorder = SpanRecorder.from_spans(
+                self.spans, common_fields={"shard": self.shard_index}
+            )
+            if span_listener is not None:
+                for span in self.spans:
+                    span_listener(span)
+        execution.outcome = ShardOutcome(
+            result=CrawlResult(
+                d_ba=Dataset.from_buffers("D_BA", self.d_ba),
+                d_aa=Dataset.from_buffers("D_AA", self.d_aa),
+                report=self.report,
+                allowed_domains=self.allowed_domains,
+                survey=AttestationSurvey(()),
+            ),
+            tracer=tracer,
+            metrics=registry,
+            spans=recorder,
+        )
+        return execution
 
 
 def run_shard_task(task: ShardTask) -> ShardResult:
@@ -636,53 +630,29 @@ def run_shard_task(task: ShardTask) -> ShardResult:
 
     Module-level so the spawn context can pickle it by reference; the
     per-process world cache makes repeated shards over one world pay the
-    generator exactly once per worker.
+    generator exactly once per worker.  Each worker opens its own
+    :class:`CheckpointStore` on the shared directory — checkpoint files
+    are per-shard, and the manifest update takes a cross-process lock.
     """
-    world = _world_for(task.spec)
-    if task.checkpoint_dir is None:
-        outcome = execute_shard(
-            world,
-            task.plan,
-            corrupt_allowlist=task.corrupt_allowlist,
-            trace=task.trace,
-            metrics=task.metrics,
-            spans=task.spans,
-        )
-        return result_from_outcome(task.plan.shard_index, outcome)
-    execution = execute_resumable_shard(
-        world,
+    execution = execute_shard(
+        _world_for(task.spec),
         task.plan,
-        store=CheckpointStore(task.checkpoint_dir),
-        checkpoint_every=task.checkpoint_every or 500,
+        store=(
+            CheckpointStore(task.checkpoint_dir)
+            if task.checkpoint_dir is not None
+            else None
+        ),
+        checkpoint_every=task.checkpoint_every,
         resume=task.resume,
         corrupt_allowlist=task.corrupt_allowlist,
-        policy=task.retry_policy or RetryPolicy(),
+        policy=task.policy,
         allow_partial=task.allow_partial,
         fault_injector=task.fault_injector,  # type: ignore[arg-type]
         trace=task.trace,
         metrics=task.metrics,
         spans=task.spans,
     )
-    if execution.outcome is None:
-        return ShardResult(
-            shard_index=task.plan.shard_index,
-            d_ba=VisitBuffers(),
-            d_aa=VisitBuffers(),
-            report=None,
-            allowed_domains=frozenset(),
-            events=None,
-            metrics=None,
-            spans=None,
-            retries=tuple(execution.retries),
-            resumed_from=execution.resumed_from,
-            failure=execution.failure,
-        )
-    return result_from_outcome(
-        task.plan.shard_index,
-        execution.outcome,
-        retries=execution.retries,
-        resumed_from=execution.resumed_from,
-    )
+    return ShardResult.of(execution)
 
 
 # -- deterministic, picklable fault injection (test seam) ----------------------
@@ -797,5 +767,3 @@ class _CompositeHook:
     def __call__(self, position: int, domain: str) -> None:
         for hook in self.hooks:
             hook(position, domain)  # type: ignore[operator]
-
-

@@ -1,7 +1,15 @@
-"""Resumable sharded campaigns: checkpoint, crash, retry, resume, merge.
+"""Sharded campaigns: split, checkpoint, crash, retry, resume, merge.
 
-:class:`ResumableCrawl` wraps the sharded executor with the durability
-layer a weeks-long campaign needs:
+Real measurement campaigns parallelise exactly this way — the ranking is
+partitioned, each worker drives its own browser profile, and the shards'
+records are merged afterwards.  Shards are *fully deterministic and
+order-independent*: every shard gets its own browser (history, cache,
+consent ledger, clock) and its own user seed, so the merged datasets are
+identical no matter how the backend schedules the work.
+
+:class:`ResumableCrawl` is the one sharded-campaign orchestrator.  With
+a checkpoint directory it adds the durability layer a weeks-long
+campaign needs:
 
 * every shard writes periodic atomic checkpoints
   (:mod:`repro.crawler.checkpoint`) while it crawls;
@@ -19,28 +27,36 @@ layer a weeks-long campaign needs:
   :class:`~repro.crawler.checkpoint.PartialManifest` instead of the
   whole campaign aborting.
 
+``checkpoint_dir=None`` runs the same campaign without a store: nothing
+is written or fingerprinted, and a retried shard starts over.
+
 Execution is backend-pluggable (:mod:`repro.crawler.executor`): shards
-run serially, on worker threads, or in worker processes.  Under the
-``process`` backend each worker opens its own :class:`CheckpointStore`
-on the shared directory — checkpoint files are per-shard so they never
-collide, and the manifest update takes a cross-process file lock.  A
-non-picklable ``fault_injector`` (e.g. a test closure) silently
-downgrades ``process`` to ``thread`` rather than failing the campaign —
-use :class:`~repro.crawler.executor.CrashSchedule` for process-backend
+run serially or in worker processes.  A non-picklable
+``fault_injector`` (e.g. a test closure) silently downgrades
+``process`` to ``serial`` rather than failing the campaign — use
+:class:`~repro.crawler.executor.CrashSchedule` for process-backend
 fault injection.
 
-The merge itself is :class:`~repro.crawler.parallel.ShardedCrawl`'s —
-resumable execution is a scheduling concern and must not introduce a
-third merge implementation that could drift.
+The merge must reproduce what :meth:`CrawlCampaign.run` would have done
+over the whole ranking: the attestation survey is built from the shared
+:func:`repro.crawler.campaign.attestation_targets` helper (both datasets,
+not just ``D_BA``), and the merged report keeps honest timestamps —
+``started_at`` is the earliest shard start, ``finished_at`` the latest
+shard finish, so ``duration_seconds`` stays the parallel wall-clock.
+With instrumentation on, every shard records into its own tracer and
+metrics registry; the merge replays shard events into the campaign-level
+tracer tagged with the shard index and folds the metric snapshots
+together, adding per-shard skew gauges.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import dataclasses
+from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable
 
-from repro.crawler.campaign import CrawlReport, CrawlResult
+from repro.crawler.campaign import CrawlReport, CrawlResult, attestation_targets
 from repro.crawler.checkpoint import (
     CheckpointStore,
     MissingRange,
@@ -52,25 +68,20 @@ from repro.crawler.checkpoint import (
 )
 from repro.crawler.dataset import Dataset
 from repro.crawler.executor import (
-    ExecutionBackend,
+    FaultInjector,
     ShardExecution,
-    ShardFailedError as ShardFailedError,  # noqa: PLC0414 — re-export
     ShardOutcome,
     ShardPlan,
     ShardResult,
-    ShardRetryRecord as ShardRetryRecord,  # noqa: PLC0414 — re-export
+    ShardRetryRecord,
     ShardTask,
     WorldSpec,
-    create_backend,
-    execute_resumable_shard,
-    is_picklable,
-    outcome_from_result,
+    effective_shard_count,
+    execute_shard,
     plan_shards,
-    result_from_outcome,
     run_shard_task,
 )
-from repro.crawler.parallel import ShardedCrawl, effective_shard_count
-from repro.crawler.wellknown import AttestationSurvey
+from repro.crawler.wellknown import AttestationSurvey, survey_attestations
 from repro.obs import (
     EventKind,
     MetricsRegistry,
@@ -80,32 +91,22 @@ from repro.obs import (
     SpanRecorder,
     Tracer,
 )
+from repro.obs.spans import SPAN_CAMPAIGN
+from repro.util.executor import ExecutionBackend, create_backend, is_picklable
 from repro.web.tranco import TrancoList
 
 if TYPE_CHECKING:
     from repro.web.generator import SyntheticWeb
 
-import dataclasses
-
-#: A fault hook: called with (position, domain) before each visit.
-FaultHook = Callable[[int, str], None]
-
-#: Test seam: (shard_index, attempt) -> per-visit fault hook (or None).
-FaultInjector = Callable[[int, int], "FaultHook | None"]
-
-#: Streaming hook: called with (plan, picklable shard result) as each
-#: shard completes — in completion order, before the merge runs.  The
-#: crawl service hangs incremental result events off this seam.
-ShardListener = Callable[[ShardPlan, ShardResult], None]
-
-#: Backwards-compatible alias — the class lived in ``parallel`` before
-#: the execution-backend split.
-_ShardOutcome = ShardOutcome
+#: Streaming hook: called with each finished shard's execution — in
+#: completion order, before the merge runs.  The crawl service hangs
+#: incremental result events off this seam.
+ShardListener = Callable[[ShardExecution], None]
 
 
 @dataclass
 class ResumableOutcome:
-    """Everything a resumable campaign produces beyond the crawl itself."""
+    """Everything a sharded campaign produces beyond the crawl itself."""
 
     result: CrawlResult
     retries: tuple[ShardRetryRecord, ...] = ()
@@ -117,25 +118,13 @@ class ResumableOutcome:
         return self.partial is not None and bool(self.partial.missing)
 
 
-@dataclass
-class _ShardRun:
-    """Per-shard result for one shard (success or degraded)."""
-
-    plan: ShardPlan
-    outcome: ShardOutcome | None
-    retries: list[ShardRetryRecord] = field(default_factory=list)
-    resumed_from: int | None = None  # on-disk checkpoint the first attempt used
-    failure: str | None = None
-    failure_checkpoint: ShardCheckpoint | None = None
-
-
 class ResumableCrawl:
-    """A sharded campaign with durable progress and shard-level retry."""
+    """A sharded campaign with optional durable progress and shard retry."""
 
     def __init__(
         self,
         world: "SyntheticWeb",
-        checkpoint_dir: str | Path,
+        checkpoint_dir: str | Path | None,
         shard_count: int = 4,
         checkpoint_every: int = 500,
         corrupt_allowlist: bool = True,
@@ -151,8 +140,15 @@ class ResumableCrawl:
         fault_injector: FaultInjector | None = None,
         shard_listener: ShardListener | None = None,
     ) -> None:
+        if shard_count <= 0:
+            # Fail at construction, not at run(): a zero/negative count is
+            # always a caller bug, and surfacing it here keeps the
+            # traceback next to the mistake.
+            raise ValueError(f"shard_count must be positive, got {shard_count}")
         self._world = world
-        self._store = CheckpointStore(checkpoint_dir)
+        self._store = (
+            CheckpointStore(checkpoint_dir) if checkpoint_dir is not None else None
+        )
         self._shard_count = shard_count
         self._checkpoint_every = checkpoint_every
         self._corrupt_allowlist = corrupt_allowlist
@@ -167,15 +163,6 @@ class ResumableCrawl:
         self._spans = spans
         self._fault_injector = fault_injector
         self._shard_listener = shard_listener
-        # The merge stays ShardedCrawl's: one implementation, zero drift.
-        self._merger = ShardedCrawl(
-            world,
-            shard_count=shard_count,
-            corrupt_allowlist=corrupt_allowlist,
-            tracer=tracer,
-            metrics=metrics,
-            spans=spans,
-        )
 
     # -- orchestration --------------------------------------------------------
 
@@ -186,49 +173,53 @@ class ResumableCrawl:
         shard_count = effective_shard_count(
             self._shard_count, len(domains), self._tracer
         )
-        self._store.initialize(
-            campaign_fingerprint(
-                domains, shard_count, self._corrupt_allowlist
+        if self._store is not None:
+            self._store.initialize(
+                campaign_fingerprint(
+                    domains, shard_count, self._corrupt_allowlist
+                )
             )
-        )
         plans = plan_shards(TrancoList(domains), shard_count)
-        backend = self._resolve_backend(len(plans))
-        runs = self._execute(backend, plans)
+        executions = self._execute(self._resolve_backend(len(plans)), plans)
 
         outcomes: list[ShardOutcome] = []
         missing: list[MissingRange] = []
-        for run in runs:
-            if run.outcome is not None:
-                outcomes.append(run.outcome)
+        for execution in executions:
+            if execution.outcome is not None:
+                outcomes.append(execution.outcome)
                 continue
             # Degraded shard: merge its durable prefix, name the hole.
-            checkpoint = run.failure_checkpoint
+            plan = execution.plan
+            checkpoint = (
+                self._store.latest(plan.shard_index)
+                if self._store is not None
+                else None
+            )
             visits_done = checkpoint.visits_done if checkpoint is not None else 0
             missing.append(
                 MissingRange(
-                    shard_index=run.plan.shard_index,
-                    from_rank=run.plan.rank_offset + visits_done + 1,
-                    to_rank=run.plan.rank_offset + len(run.plan.domains),
-                    error=run.failure or "unknown",
+                    shard_index=plan.shard_index,
+                    from_rank=plan.rank_offset + visits_done + 1,
+                    to_rank=plan.rank_offset + len(plan.domains),
+                    error=execution.failure or "unknown",
                 )
             )
-            outcomes.append(self._degraded_outcome(run.plan, checkpoint))
+            outcomes.append(self._degraded_outcome(plan, checkpoint))
 
-        result = self._merger._merge(plans, outcomes)
-        self._emit_recovery_accounting(runs, missing)
-        partial = PartialManifest(missing=missing) if missing else None
+        result = self._merge(plans, outcomes)
+        self._emit_recovery_accounting(executions, missing)
         return ResumableOutcome(
             result=result,
-            retries=tuple(retry for run in runs for retry in run.retries),
-            resumed_shards=tuple(
-                run.plan.shard_index
-                for run in runs
-                if run.resumed_from is not None
+            retries=tuple(
+                retry for execution in executions for retry in execution.retries
             ),
-            partial=partial,
+            resumed_shards=tuple(
+                execution.plan.shard_index
+                for execution in executions
+                if execution.resumed_from is not None
+            ),
+            partial=PartialManifest(missing=missing) if missing else None,
         )
-
-    # -- backend selection ----------------------------------------------------
 
     def _resolve_backend(self, plan_count: int) -> ExecutionBackend:
         workers = min(
@@ -243,88 +234,21 @@ class ResumableCrawl:
             # Closures cannot cross the process-pool boundary; running
             # the campaign beats crashing it.  Picklable injectors
             # (CrashSchedule) keep the process backend.
-            return create_backend("thread", workers)
+            return create_backend("serial", workers)
         return backend
-
-    # -- per-shard execution --------------------------------------------------
 
     def _execute(
         self, backend: ExecutionBackend, plans: list[ShardPlan]
-    ) -> list[_ShardRun]:
-        # Shards stream back in completion order — each one is handed to
-        # the shard listener the moment it finishes — then the merge
-        # consumes them in plan order, so the output stays byte-identical
-        # however the scheduler interleaved the work.
-        if backend.name != "process":
-            runs: list[_ShardRun | None] = [None] * len(plans)
-            for index, run in backend.stream(self._run_shard, plans):
-                runs[index] = run
-                self._notify_shard(plans[index], run)
-            return [run for run in runs if run is not None]
-        spec = WorldSpec.of(self._world)
-        tasks = [
-            ShardTask(
-                spec=spec,
-                plan=plan,
-                corrupt_allowlist=self._corrupt_allowlist,
-                trace=self._tracer.enabled,
-                metrics=self._metrics.enabled,
-                spans=self._spans.enabled,
-                checkpoint_dir=str(self._store.directory),
-                checkpoint_every=self._checkpoint_every,
-                resume=self._resume,
-                retry_policy=self._policy,
-                allow_partial=self._allow_partial,
-                fault_injector=self._fault_injector,
-            )
-            for plan in plans
-        ]
-        listener = self._spans.listener if self._spans.enabled else None
-        runs = [None] * len(plans)
-        for index, result in backend.stream(run_shard_task, tasks):
-            plan = plans[index]
-            if result.report is None:
-                runs[index] = _ShardRun(
-                    plan=plan,
-                    outcome=None,
-                    retries=list(result.retries),
-                    resumed_from=result.resumed_from,
-                    failure=result.failure,
-                    # The worker's store wrote the checkpoints; the
-                    # parent's store reads the same directory.
-                    failure_checkpoint=self._store.latest(plan.shard_index),
-                )
-                continue
-            runs[index] = _ShardRun(
-                plan=plan,
-                outcome=outcome_from_result(result, span_listener=listener),
-                retries=list(result.retries),
-                resumed_from=result.resumed_from,
-            )
-            if self._shard_listener is not None:
-                self._shard_listener(plan, result)
-        return [run for run in runs if run is not None]
+    ) -> list[ShardExecution]:
+        """Run every shard; returns their executions in plan order.
 
-    def _notify_shard(self, plan: ShardPlan, run: _ShardRun) -> None:
-        """Stream one in-memory shard completion to the listener."""
-        if self._shard_listener is None or run.outcome is None:
-            return
-        self._shard_listener(
-            plan,
-            result_from_outcome(
-                plan.shard_index,
-                run.outcome,
-                retries=run.retries,
-                resumed_from=run.resumed_from,
-            ),
-        )
-
-    def _run_shard(self, plan: ShardPlan) -> _ShardRun:
-        """Run one shard in-process (serial/thread backends)."""
-        execution = execute_resumable_shard(
-            self._world,
-            plan,
-            store=self._store,
+        Shards stream back in completion order — each one is handed to
+        the shard listener the moment it finishes — then the merge
+        consumes them in plan order, so the output stays byte-identical
+        however the backend interleaved the work.
+        """
+        span_listener = self._spans.listener if self._spans.enabled else None
+        knobs = dict(
             checkpoint_every=self._checkpoint_every,
             resume=self._resume,
             corrupt_allowlist=self._corrupt_allowlist,
@@ -334,28 +258,42 @@ class ResumableCrawl:
             trace=self._tracer.enabled,
             metrics=self._metrics.enabled,
             spans=self._spans.enabled,
-            span_listener=self._spans.listener if self._spans.enabled else None,
         )
-        return self._to_run(execution)
-
-    def _to_run(self, execution: ShardExecution) -> _ShardRun:
-        if execution.outcome is None:
-            return _ShardRun(
-                plan=execution.plan,
-                outcome=None,
-                retries=execution.retries,
-                resumed_from=execution.resumed_from,
-                failure=execution.failure,
-                failure_checkpoint=self._store.latest(
-                    execution.plan.shard_index
-                ),
+        if backend.name == "process":
+            # Process workers share nothing: each receives a picklable
+            # task (world config + fingerprint + its plan), rebuilds the
+            # world, and ships a plain-data result back for rehydration.
+            spec = WorldSpec.of(self._world)
+            checkpoint_dir = (
+                str(self._store.directory) if self._store is not None else None
             )
-        return _ShardRun(
-            plan=execution.plan,
-            outcome=execution.outcome,
-            retries=execution.retries,
-            resumed_from=execution.resumed_from,
-        )
+            worker = run_shard_task
+            tasks: list = [
+                ShardTask(
+                    spec=spec, plan=plan, checkpoint_dir=checkpoint_dir, **knobs
+                )
+                for plan in plans
+            ]
+        else:
+
+            def worker(plan: ShardPlan) -> ShardExecution:
+                return execute_shard(
+                    self._world,
+                    plan,
+                    store=self._store,
+                    span_listener=span_listener,
+                    **knobs,
+                )
+
+            tasks = plans
+        executions: list = [None] * len(plans)
+        for index, done in backend.stream(worker, tasks):
+            if isinstance(done, ShardResult):
+                done = done.execution(plans[index], span_listener=span_listener)
+            executions[index] = done
+            if self._shard_listener is not None and done.outcome is not None:
+                self._shard_listener(done)
+        return executions
 
     # -- degraded shards ------------------------------------------------------
 
@@ -380,19 +318,163 @@ class ResumableCrawl:
         )
         return ShardOutcome(result=result, tracer=NULL_TRACER, metrics=NULL_METRICS)
 
+    # -- merge ------------------------------------------------------------------
+
+    def _merge(
+        self, plans: list[ShardPlan], outcomes: list[ShardOutcome]
+    ) -> CrawlResult:
+        merged_ba = Dataset("D_BA")
+        merged_aa = Dataset("D_AA")
+        report = CrawlReport()
+        instrumented = self._tracer.enabled or self._metrics.enabled
+
+        for position, (plan, outcome) in enumerate(zip(plans, outcomes)):
+            result = outcome.result
+            # Whole-column splice with the rank rebase applied in bulk —
+            # the merge never touches per-record objects.
+            merged_ba.extend_rebased(result.d_ba, plan.rank_offset)
+            merged_aa.extend_rebased(result.d_aa, plan.rank_offset)
+            report.targets += result.report.targets
+            report.ok += result.report.ok
+            report.failed += result.report.failed
+            report.banners_seen += result.report.banners_seen
+            report.accepted += result.report.accepted
+            report.retried += result.report.retried
+            report.recovered += result.report.recovered
+            for kind, count in result.report.failure_kinds.items():
+                report.failure_kinds[kind] = (
+                    report.failure_kinds.get(kind, 0) + count
+                )
+            # Honest campaign timestamps: the parallel campaign starts
+            # when the first shard starts and finishes when the slowest
+            # one does, so duration_seconds stays the wall-clock.
+            if position == 0:
+                report.started_at = result.report.started_at
+            else:
+                report.started_at = min(
+                    report.started_at, result.report.started_at
+                )
+            report.finished_at = max(
+                report.finished_at, result.report.finished_at
+            )
+
+        if instrumented:
+            self._fold_instrumentation(plans, outcomes)
+            self._metrics.gauge("crawl_targets", report.targets)
+            self._metrics.gauge("crawl_duration_seconds", report.duration_seconds)
+            self._metrics.gauge("shard_count", len(plans))
+
+        root_id = None
+        if self._spans.enabled:
+            root_id = self._fold_spans(plans, outcomes, report)
+
+        allowed = frozenset(self._world.registry.allowed_domains())
+        encountered = attestation_targets(merged_ba, merged_aa, allowed)
+        survey = survey_attestations(
+            self._world,
+            encountered,
+            report.finished_at,
+            tracer=self._tracer,
+            metrics=self._metrics,
+            spans=self._spans,
+        )
+        if root_id is not None:
+            self._spans.exit(at=float(report.finished_at))
+        return CrawlResult(
+            d_ba=merged_ba,
+            d_aa=merged_aa,
+            report=report,
+            allowed_domains=allowed,
+            survey=survey,
+        )
+
+    def _fold_instrumentation(
+        self, plans: list[ShardPlan], outcomes: list[ShardOutcome]
+    ) -> None:
+        """Fold shard tracers and metrics into the campaign-level pair.
+
+        Shard events interleave in *time* order — sorted by
+        ``(at, shard_index, seq)`` — so the merged trace reads as one
+        chronological campaign rather than shard 0's full history
+        followed by shard 1's.  Per-shard gauges and the ``shard-merged``
+        lifecycle events follow the replayed history.
+        """
+        entries = []
+        for plan, outcome in zip(plans, outcomes):
+            for event in outcome.tracer:
+                entries.append((event.at, plan.shard_index, event.seq, event))
+        entries.sort(key=lambda entry: entry[:3])
+        for at, shard_index, _seq, event in entries:
+            self._tracer.emit(
+                event.kind, at, **{**event.fields, "shard": shard_index}
+            )
+
+        for plan, outcome in zip(plans, outcomes):
+            result = outcome.result
+            self._metrics.absorb(outcome.metrics.snapshot())
+            self._metrics.gauge(
+                "shard_duration_seconds",
+                result.report.duration_seconds,
+                shard=plan.shard_index,
+            )
+            self._metrics.gauge(
+                "shard_visits", result.report.ok, shard=plan.shard_index
+            )
+            self._tracer.emit(
+                EventKind.SHARD_MERGED,
+                at=result.report.finished_at,
+                shard=plan.shard_index,
+                ok=result.report.ok,
+                failed=result.report.failed,
+                accepted=result.report.accepted,
+                duration_seconds=result.report.duration_seconds,
+            )
+
+    def _fold_spans(
+        self,
+        plans: list[ShardPlan],
+        outcomes: list[ShardOutcome],
+        report: CrawlReport,
+    ) -> int:
+        """Graft shard span trees under one campaign-level root.
+
+        Shard spans fold sorted by ``(start, shard_index, span_id)`` —
+        within a shard a parent never sorts after its child, so ids can
+        be remapped in one pass.  Returns the root span id; the caller
+        closes it once the merged survey has recorded its spans.
+        """
+        root_id = self._spans.enter(
+            SPAN_CAMPAIGN,
+            at=float(report.started_at),
+            targets=report.targets,
+            shards=len(plans),
+        )
+        entries = []
+        for plan, outcome in zip(plans, outcomes):
+            for span in outcome.spans:
+                entries.append((span.start, plan.shard_index, span.span_id, span))
+        entries.sort(key=lambda entry: entry[:3])
+        id_map: dict[tuple[int, int], int] = {}
+        for _start, shard_index, old_id, span in entries:
+            parent = id_map.get((shard_index, span.parent_id), root_id)
+            id_map[(shard_index, old_id)] = self._spans.adopt(
+                span, parent_id=parent
+            )
+        return root_id
+
     # -- recovery accounting --------------------------------------------------
 
     def _emit_recovery_accounting(
-        self, runs: list[_ShardRun], missing: list[MissingRange]
+        self, executions: list[ShardExecution], missing: list[MissingRange]
     ) -> None:
         """Campaign-level accounting for shards that never recovered."""
         instrumented = self._tracer.enabled or self._metrics.enabled
         if not instrumented:
             return
-        for run in runs:
-            if run.outcome is not None:
+        for execution in executions:
+            if execution.outcome is not None:
                 continue  # recovered shards folded their own retries
-            for retry in run.retries:
+            for retry in execution.retries:
                 self._metrics.counter("shard_retries_total")
                 self._metrics.counter(
                     "shard_backoff_seconds_total", retry.backoff_seconds

@@ -5,8 +5,8 @@ listener: every completed ``visit`` span updates its counters, and at a
 bounded real-time cadence it rewrites one stderr status line —
 visits/s (real wall-clock), ETA, and per-shard completion.  Shard
 recorders inherit the campaign recorder's listener, so a sharded crawl
-reports live from every worker thread through one tracker (all state
-changes happen under a lock).
+reports every shard through one tracker (all state changes happen under
+a lock, so any calling thread is safe).
 
 The tracker measures *real* elapsed time (it exists for a human watching
 a terminal), but reads nothing else from the environment: the time

@@ -37,9 +37,8 @@ from repro.crawler.executor import (
     CancelFlag,
     CompositeInjector,
     CrashSchedule,
+    ShardExecution,
     ShardFailedError,
-    ShardPlan,
-    ShardResult,
 )
 from repro.crawler.resumable import ResumableCrawl, ResumableOutcome
 from repro.obs import (
@@ -100,7 +99,7 @@ class JobRunResult:
     outcome: ResumableOutcome
 
 
-def shard_result_payload(plan: ShardPlan, result: ShardResult) -> dict:
+def shard_result_payload(execution: ShardExecution) -> dict:
     """The incremental ``shard-result`` event body for one finished shard.
 
     Carries the shard's Before-Accept rows **rebased to global ranks** —
@@ -108,19 +107,18 @@ def shard_result_payload(plan: ShardPlan, result: ShardResult) -> dict:
     ``d_ba.jsonl`` — so a streaming consumer can reassemble the batch
     dataset without waiting for the merge.
     """
+    plan = execution.plan
+    result = execution.outcome.result
     rebased = Dataset("D_BA")
-    rebased.extend_rebased(
-        Dataset.from_buffers("D_BA", result.d_ba), plan.rank_offset
-    )
-    report = result.report
+    rebased.extend_rebased(result.d_ba, plan.rank_offset)
     return {
         "shard": plan.shard_index,
         "rank_offset": plan.rank_offset,
         "domains": len(plan.domains),
-        "ok": report.ok if report is not None else 0,
-        "accepted": report.accepted if report is not None else 0,
-        "retries": len(result.retries),
-        "resumed_from": result.resumed_from,
+        "ok": result.report.ok,
+        "accepted": result.report.accepted,
+        "retries": len(execution.retries),
+        "resumed_from": execution.resumed_from,
         "d_ba": [record.to_json() for record in rebased],
     }
 
@@ -182,8 +180,8 @@ def run_job(
         )
         spans = SpanRecorder(listener=progress)
 
-        def shard_listener(plan: ShardPlan, result: ShardResult) -> None:
-            emit(EVENT_SHARD_RESULT, shard_result_payload(plan, result))
+        def shard_listener(execution: ShardExecution) -> None:
+            emit(EVENT_SHARD_RESULT, shard_result_payload(execution))
 
     crawl = ResumableCrawl(
         world,

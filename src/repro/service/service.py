@@ -53,12 +53,14 @@ from repro.service.events import (
 from repro.service.jobs import (
     JobRecord,
     JobSpec,
+    JobSpecError,
     JobState,
     JobTable,
     TERMINAL_STATES,
     interrupted_jobs,
 )
 from repro.service.runner import JobPaths, ServiceKilled, run_job
+from repro.util.executor import resolve_backend_name
 
 if TYPE_CHECKING:
     from repro.web.generator import SyntheticWeb
@@ -128,7 +130,17 @@ class CrawlService:
     # -- submission and queries -----------------------------------------------
 
     async def submit(self, spec: JobSpec) -> str:
-        """Persist a new job and queue it; returns the job id."""
+        """Persist a new job and queue it; returns the job id.
+
+        An unknown ``backend`` name raises :class:`JobSpecError` here, at
+        submit, rather than failing the job once it runs.  Records
+        already on disk are not re-validated.
+        """
+        if spec.backend is not None:
+            try:
+                resolve_backend_name(spec.backend)
+            except ValueError as exc:
+                raise JobSpecError(str(exc)) from exc
         job_id = self._table.next_id()
         record = JobRecord(job_id=job_id, spec=spec)
         self._records[job_id] = record

@@ -12,7 +12,7 @@ Two generation paths produce byte-identical observed views:
   through the full object-graph machinery (session, manager, call log);
 * :meth:`TraceGenerator.run_many` — the population data plane: users are
   partitioned into contiguous shards over the shared execution backends
-  (serial / thread / process, ``REPRO_CRAWL_BACKEND``-aware), each shard
+  (serial / process, ``REPRO_CRAWL_BACKEND``-aware), each shard
   writes straight into columnar :class:`~repro.users.columnar.TraceBuffers`
   through a hot loop that skips the per-visit object churn (no
   ``TopicsApiCall`` log entries, no per-browse answer computation — only
@@ -186,7 +186,7 @@ class TraceGenerator:
         :class:`~repro.users.population.PopulationSpec` through a
         per-worker cache (mirroring the crawl executor's world cache);
         populations without a spec travel by value when picklable and
-        fall back to the thread backend otherwise.
+        fall back to the serial backend otherwise.
         """
         ids = (
             tuple(user_ids)
@@ -216,11 +216,11 @@ class TraceGenerator:
             if spec is None:
                 # Hand-built populations cannot be rebuilt from a spec;
                 # ship them by value, or (mirroring the crawl executor's
-                # non-picklable fault-injector rule) downgrade to threads.
+                # non-picklable fault-injector rule) downgrade to serial.
                 if is_picklable(self._population):
                     population = self._population
                 else:
-                    resolved = create_backend("thread", workers)
+                    resolved = create_backend("serial", workers)
         if resolved.name == "process":
             tasks = [
                 TraceShardTask(

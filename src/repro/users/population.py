@@ -71,8 +71,8 @@ class PopulationSpec:
                 f"worker rebuilt a population with fingerprint {rebuilt}, "
                 f"parent expected {self.fingerprint}; the parent population "
                 "was not produced by Population.generate with the default "
-                "taxonomy — use the serial or thread backend for "
-                "hand-modified populations"
+                "taxonomy — use the serial backend for hand-modified "
+                "populations"
             )
         return population
 

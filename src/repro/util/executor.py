@@ -1,17 +1,15 @@
-"""Shared execution backends: serial, thread, process.
+"""Shared execution backends: serial and process.
 
-Originally private to the crawl plane (``repro.crawler.executor``), the
-backend strategies turned out to be workload-agnostic: they map a worker
-function over a sequence of picklable tasks and return the results in
-task order.  The population data plane (``repro.users.columnar`` trace
-generation, ``repro.privacy.attack`` ranking) shards its work over the
-same three strategies, so the strategy layer lives here and the crawl
-executor re-exports it unchanged:
+The backend strategies are workload-agnostic: they map a worker function
+over a sequence of picklable tasks and return the results in task order.
+Sharded crawls (:mod:`repro.crawler.executor`), population trace
+generation (:mod:`repro.users.columnar`), re-identification ranking
+(:mod:`repro.privacy.attack`) and scenario sweeps all shard their work
+over the same two strategies:
 
 * ``serial``  — run tasks one after another in the calling thread (the
-  reference executor: zero scheduling noise, easiest to debug);
-* ``thread``  — one worker thread per task (cheap to start, shares
-  memory, GIL-bound);
+  reference executor and the default: zero scheduling noise, easiest to
+  debug, and as fast as any thread pool for these CPU-bound loops);
 * ``process`` — worker **processes** via ``ProcessPoolExecutor`` on the
   spawn context: true multi-core parallelism for CPU-bound loops.
   Tasks and results must be picklable, and the worker function must be
@@ -19,9 +17,9 @@ executor re-exports it unchanged:
 
 The backend is chosen per run: explicitly (``backend=`` / ``--backend``),
 or via the ``REPRO_CRAWL_BACKEND`` environment variable, defaulting to
-``thread``.  Every workload built on these strategies is required to be
-deterministic and order-independent per task, so all three backends
-produce byte-identical outputs — the tests pin this for crawls and for
+``serial``.  Every workload built on these strategies is required to be
+deterministic and order-independent per task, so both backends produce
+byte-identical outputs — the tests pin this for crawls and for
 population traces alike.
 """
 
@@ -34,7 +32,6 @@ import pickle
 from concurrent.futures import (
     FIRST_COMPLETED,
     ProcessPoolExecutor,
-    ThreadPoolExecutor,
     wait,
 )
 from concurrent.futures.process import BrokenProcessPool
@@ -47,10 +44,10 @@ _R = TypeVar("_R")
 BACKEND_ENV_VAR = "REPRO_CRAWL_BACKEND"
 
 #: Valid backend names, in documentation order.
-BACKEND_NAMES = ("serial", "thread", "process")
+BACKEND_NAMES = ("serial", "process")
 
 #: The default when neither the caller nor the environment chooses.
-DEFAULT_BACKEND = "thread"
+DEFAULT_BACKEND = "serial"
 
 
 class ExecutionBackend:
@@ -58,10 +55,12 @@ class ExecutionBackend:
 
     name: str = "abstract"
 
-    def map(
-        self, fn: Callable[[_T], _R], items: Sequence[_T]
-    ) -> list[_R]:  # pragma: no cover - interface
-        raise NotImplementedError
+    def map(self, fn: Callable[[_T], _R], items: Sequence[_T]) -> list[_R]:
+        """Run ``fn`` over every item; results in task order."""
+        results: list = [None] * len(items)
+        for index, result in self.stream(fn, items):
+            results[index] = result
+        return results
 
     def stream(
         self, fn: Callable[[_T], _R], items: Sequence[_T]
@@ -75,34 +74,8 @@ class ExecutionBackend:
         The first task exception propagates to the consumer after the
         in-flight siblings have been allowed to finish (they hold
         resources — checkpoints, world caches — that must settle).
-        Callers needing positional results collect into ``[None] * n``.
         """
         raise NotImplementedError  # pragma: no cover - interface
-
-
-def _stream_pool(pool, fn, items) -> Iterator[tuple[int, _R]]:
-    """Shared completion-order streaming over a concurrent.futures pool.
-
-    On a task failure the remaining futures are drained (awaited, their
-    own errors discarded) before the first failure is re-raised, so the
-    pool is quiescent by the time the caller sees the exception.
-    """
-    futures = {pool.submit(fn, item): index for index, item in enumerate(items)}
-    pending = set(futures)
-    failure: BaseException | None = None
-    while pending:
-        done, pending = wait(pending, return_when=FIRST_COMPLETED)
-        for future in sorted(done, key=futures.__getitem__):
-            try:
-                result = future.result()
-            except BaseException as exc:  # noqa: BLE001 — drained, then re-raised
-                if failure is None:
-                    failure = exc
-                continue
-            if failure is None:
-                yield futures[future], result
-    if failure is not None:
-        raise failure
 
 
 class SerialBackend(ExecutionBackend):
@@ -110,39 +83,11 @@ class SerialBackend(ExecutionBackend):
 
     name = "serial"
 
-    def map(self, fn: Callable[[_T], _R], items: Sequence[_T]) -> list[_R]:
-        return [fn(item) for item in items]
-
     def stream(
         self, fn: Callable[[_T], _R], items: Sequence[_T]
     ) -> Iterator[tuple[int, _R]]:
         for index, item in enumerate(items):
             yield index, fn(item)
-
-
-class ThreadBackend(ExecutionBackend):
-    """One worker thread per task (concurrency, not parallelism)."""
-
-    name = "thread"
-
-    def __init__(self, max_workers: int) -> None:
-        if max_workers <= 0:
-            raise ValueError("max_workers must be positive")
-        self.max_workers = max_workers
-
-    def map(self, fn: Callable[[_T], _R], items: Sequence[_T]) -> list[_R]:
-        if not items:
-            return []
-        with ThreadPoolExecutor(max_workers=self.max_workers) as pool:
-            return list(pool.map(fn, items))
-
-    def stream(
-        self, fn: Callable[[_T], _R], items: Sequence[_T]
-    ) -> Iterator[tuple[int, _R]]:
-        if not items:
-            return
-        with ThreadPoolExecutor(max_workers=self.max_workers) as pool:
-            yield from _stream_pool(pool, fn, items)
 
 
 #: Live process pools, keyed by worker count.  Reused across runs so
@@ -169,6 +114,31 @@ def _shutdown_process_pools() -> None:
     _PROCESS_POOLS.clear()
 
 
+def _stream_pool(pool, fn, items) -> Iterator[tuple[int, _R]]:
+    """Completion-order streaming over a concurrent.futures pool.
+
+    On a task failure the remaining futures are drained (awaited, their
+    own errors discarded) before the first failure is re-raised, so the
+    pool is quiescent by the time the caller sees the exception.
+    """
+    futures = {pool.submit(fn, item): index for index, item in enumerate(items)}
+    pending = set(futures)
+    failure: BaseException | None = None
+    while pending:
+        done, pending = wait(pending, return_when=FIRST_COMPLETED)
+        for future in sorted(done, key=futures.__getitem__):
+            try:
+                result = future.result()
+            except BaseException as exc:  # noqa: BLE001 — drained, then re-raised
+                if failure is None:
+                    failure = exc
+                continue
+            if failure is None:
+                yield futures[future], result
+    if failure is not None:
+        raise failure
+
+
 class ProcessBackend(ExecutionBackend):
     """One worker process per task: true multi-core parallelism.
 
@@ -184,19 +154,6 @@ class ProcessBackend(ExecutionBackend):
             raise ValueError("max_workers must be positive")
         self.max_workers = max_workers
 
-    def map(self, fn: Callable[[_T], _R], items: Sequence[_T]) -> list[_R]:
-        if not items:
-            return []
-        pool = _process_pool(self.max_workers)
-        try:
-            return list(pool.map(fn, items))
-        except BrokenProcessPool:
-            # A worker died hard (OOM, signal); the pool is unusable.
-            # Evict it so the next run starts a healthy one.
-            _PROCESS_POOLS.pop(self.max_workers, None)
-            pool.shutdown(wait=False, cancel_futures=True)
-            raise
-
     def stream(
         self, fn: Callable[[_T], _R], items: Sequence[_T]
     ) -> Iterator[tuple[int, _R]]:
@@ -206,6 +163,8 @@ class ProcessBackend(ExecutionBackend):
         try:
             yield from _stream_pool(pool, fn, items)
         except BrokenProcessPool:
+            # A worker died hard (OOM, signal); the pool is unusable.
+            # Evict it so the next run starts a healthy one.
             _PROCESS_POOLS.pop(self.max_workers, None)
             pool.shutdown(wait=False, cancel_futures=True)
             raise
@@ -229,12 +188,9 @@ def create_backend(
     """Materialise a backend from a name, an instance, or the environment."""
     if isinstance(backend, ExecutionBackend):
         return backend
-    name = resolve_backend_name(backend)
-    if name == "serial":
-        return SerialBackend()
-    if name == "process":
+    if resolve_backend_name(backend) == "process":
         return ProcessBackend(max_workers)
-    return ThreadBackend(max_workers)
+    return SerialBackend()
 
 
 def is_picklable(value: object) -> bool:

@@ -10,8 +10,8 @@ between the runs:
   protocol counters.  Per-shard simulated clocks legitimately shift call
   timestamps and epoch-dependent topic counts, so only the degenerate
   single-shard split must be byte-identical to the sequential campaign;
-* ``backend-equivalence`` — serial, thread and process execution of the
-  same shard plan archive byte-identically;
+* ``backend-equivalence`` — serial and process execution of the same
+  shard plan archive byte-identically;
 * ``instrumentation-transparency`` — tracing, metrics and span recording
   never change the campaign's results;
 * ``seed-stability`` — a different world seed yields a different world
@@ -42,7 +42,7 @@ from repro.analysis.questionable import questionable_calls_by_cp
 from repro.attestation.allowlist import GatingDecision
 from repro.crawler.archive import save_crawl
 from repro.crawler.campaign import CrawlCampaign, CrawlResult
-from repro.crawler.parallel import ShardedCrawl
+from repro.crawler.resumable import ResumableCrawl
 from repro.obs import MetricsRegistry, SpanRecorder, Tracer
 from repro.validate.engine import audit_archive
 from repro.web.config import WorldConfig
@@ -59,7 +59,7 @@ ARCHIVE_FILES = (
 
 #: Default perturbation grids for a reduced-scale run.
 DEFAULT_SHARD_COUNTS = (1, 2, 3, 5)
-DEFAULT_BACKENDS = ("serial", "thread")
+DEFAULT_BACKENDS = ("serial", "process")
 #: Consent-ablation scales, largest first (1.0 = the configured world).
 ABLATION_SCALES = (1.0, 0.5, 0.0)
 
@@ -308,9 +308,9 @@ class MetamorphicHarness:
         for count in self.shard_counts:
             sharded_archive = self._archive(
                 f"shards-{count}",
-                lambda count=count: ShardedCrawl(
-                    self._world(), shard_count=count, backend="serial"
-                ).run(),
+                lambda count=count: ResumableCrawl(
+                    self._world(), None, shard_count=count, backend="serial"
+                ).run().result,
             )
             sharded = self._results[f"shards-{count}"]
             if count == 1:
@@ -337,9 +337,9 @@ class MetamorphicHarness:
         reference_count = self.shard_counts[-1] if self.shard_counts else 3
         baseline = self._archive(
             f"shards-{reference_count}",
-            lambda: ShardedCrawl(
-                self._world(), shard_count=reference_count, backend="serial"
-            ).run(),
+            lambda: ResumableCrawl(
+                self._world(), None, shard_count=reference_count, backend="serial"
+            ).run().result,
         )
         details = []
         for backend in self.backends:
@@ -347,19 +347,20 @@ class MetamorphicHarness:
                 continue
             candidate = self._archive(
                 f"backend-{backend}",
-                lambda backend=backend: ShardedCrawl(
+                lambda backend=backend: ResumableCrawl(
                     self._world(),
+                    None,
                     shard_count=reference_count,
                     backend=backend,
                     max_workers=2,
-                ).run(),
+                ).run().result,
             )
             for difference in compare_archives(baseline, candidate):
                 details.append(f"backend={backend}: {difference}")
         return RelationResult(
             relation="backend-equivalence",
             description=(
-                "serial, thread and process execution archive byte-identically"
+                "serial and process execution archive byte-identically"
             ),
             passed=not details,
             details=tuple(details),

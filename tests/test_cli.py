@@ -125,6 +125,29 @@ class TestCommands:
         assert "shards 0:" in err
         assert err.endswith("\n")
 
+    def test_crawl_sharded_honours_limit(self, capsys, tmp_path):
+        """Regression: a sharded crawl without --checkpoint-dir used to
+        crawl the whole ranking, and --progress counted it all."""
+        import json
+
+        out_dir = tmp_path / "campaign"
+        assert main(
+            [
+                "crawl", "--sites", "600", "--out", str(out_dir),
+                "--shards", "3", "--limit", "50", "--progress",
+            ]
+        ) == 0
+        report = json.loads((out_dir / "report.json").read_text())
+        assert report["targets"] == 50
+        ranks = [
+            json.loads(line)["rank"]
+            for line in (out_dir / "d_ba.jsonl").read_text().splitlines()
+        ]
+        assert len(ranks) == report["ok"] and max(ranks) <= 50
+        final = capsys.readouterr().err.rstrip("\n").split("\r")[-1]
+        assert "crawl: 50/50 sites (100.0%)" in final
+        assert "shards 0:100% 1:100% 2:100%" in final
+
     def test_crawl_sharded_profile_names_straggler(self, capsys, tmp_path):
         out_dir = str(tmp_path / "campaign")
         assert main(

@@ -20,7 +20,8 @@ from repro.crawler.campaign import (
     attestation_targets,
 )
 from repro.crawler.dataset import Dataset, PHASE_AFTER, PHASE_BEFORE, VisitRecord
-from repro.crawler.parallel import ShardPlan, ShardedCrawl, _ShardOutcome
+from repro.crawler.executor import ShardOutcome, ShardPlan
+from repro.crawler.resumable import ResumableCrawl
 from repro.crawler.wellknown import AttestationSurvey
 from repro.obs import (
     MetricsRegistry,
@@ -57,9 +58,9 @@ def sequential(eq_world):
 @pytest.fixture(scope="module")
 def sharded(eq_world):
     tracer, metrics, spans = Tracer(), MetricsRegistry(), SpanRecorder()
-    result = ShardedCrawl(
-        eq_world, shard_count=4, tracer=tracer, metrics=metrics, spans=spans
-    ).run()
+    result = ResumableCrawl(
+        eq_world, None, shard_count=4, tracer=tracer, metrics=metrics, spans=spans
+    ).run().result
     return result, tracer, metrics, spans
 
 
@@ -133,7 +134,7 @@ class TestMetricsCrossCheck:
 class TestMergedTraceOrdering:
     """Satellite pin: the merged trace interleaves shards in replay order.
 
-    ``ShardedCrawl._merge`` used to replay shard 0's entire history, then
+    The sharded merge used to replay shard 0's entire history, then
     shard 1's, and so on; the fold now sorts by ``(at, shard_index,
     seq)``, so the campaign-level trace reads chronologically.
     """
@@ -151,7 +152,7 @@ class TestMergedTraceOrdering:
 
     def test_merge_folds_handcrafted_traces_in_time_order(self, eq_world):
         tracer = Tracer()
-        sharded = ShardedCrawl(eq_world, shard_count=2, tracer=tracer)
+        sharded = ResumableCrawl(eq_world, None, shard_count=2, tracer=tracer)
         outcomes = []
         for shard, times in enumerate(((5, 20), (1, 12))):
             shard_tracer = Tracer()
@@ -159,7 +160,7 @@ class TestMergedTraceOrdering:
                 shard_tracer.emit("probe", at=at)
             report = CrawlReport(started_at=0, finished_at=max(times))
             outcomes.append(
-                _ShardOutcome(
+                ShardOutcome(
                     result=CrawlResult(
                         d_ba=Dataset("D_BA"),
                         d_aa=Dataset("D_AA"),
@@ -296,7 +297,7 @@ class TestMergeRegression:
     @staticmethod
     def _shard_outcome(
         d_ba: Dataset, d_aa: Dataset, started_at: int, finished_at: int
-    ) -> _ShardOutcome:
+    ) -> ShardOutcome:
         report = CrawlReport(
             targets=len(d_ba),
             ok=len(d_ba),
@@ -310,12 +311,12 @@ class TestMergeRegression:
             allowed_domains=frozenset(),
             survey=AttestationSurvey(()),
         )
-        return _ShardOutcome(result=result, tracer=NULL_TRACER, metrics=NULL_METRICS)
+        return ShardOutcome(result=result, tracer=NULL_TRACER, metrics=NULL_METRICS)
 
     def test_merge_surveys_after_accept_only_parties(self, world):
         # "aa-only.example" is loaded exclusively behind the consent gate:
         # the pre-fix merge built the survey from D_BA alone and missed it.
-        sharded = ShardedCrawl(world, shard_count=1)
+        sharded = ResumableCrawl(world, None, shard_count=1)
         outcome = self._shard_outcome(
             Dataset("D_BA", [_record("site.com", PHASE_BEFORE, ("cdn.example",))]),
             Dataset("D_AA", [_record("site.com", PHASE_AFTER, ("aa-only.example",))]),
@@ -333,7 +334,7 @@ class TestMergeRegression:
         # Pre-fix, finished_at was assigned max(shard durations): a shard
         # spanning [5, 65] produced finished_at=60 — a duration, not a
         # timestamp.  The merged report must span min(start)..max(finish).
-        sharded = ShardedCrawl(world, shard_count=2)
+        sharded = ResumableCrawl(world, None, shard_count=2)
         outcomes = [
             self._shard_outcome(Dataset("D_BA"), Dataset("D_AA"), 5, 65),
             self._shard_outcome(Dataset("D_BA"), Dataset("D_AA"), 2, 40),

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.crawler.parallel import ShardedCrawl, plan_shards
+from repro.crawler.executor import plan_shards
+from repro.crawler.resumable import ResumableCrawl
 from repro.web.tranco import TrancoList
 
 
@@ -36,7 +37,7 @@ class TestPlanning:
 class TestShardedCrawl:
     @pytest.fixture(scope="class")
     def sharded(self, world):
-        return ShardedCrawl(world, shard_count=4).run()
+        return ResumableCrawl(world, None, shard_count=4).run().result
 
     def test_full_coverage(self, sharded, world):
         reachable = sum(1 for s in world.websites if s.reachable)
@@ -49,12 +50,14 @@ class TestShardedCrawl:
             assert world.tranco.rank_of(record.domain) == record.rank
 
     def test_deterministic_across_runs(self, sharded, world):
-        rerun = ShardedCrawl(world, shard_count=4).run()
+        rerun = ResumableCrawl(world, None, shard_count=4).run().result
         assert rerun.d_ba.records == sharded.d_ba.records
         assert rerun.d_aa.records == sharded.d_aa.records
 
     def test_deterministic_with_different_worker_counts(self, sharded, world):
-        serial = ShardedCrawl(world, shard_count=4, max_workers=1).run()
+        serial = ResumableCrawl(
+            world, None, shard_count=4, max_workers=1
+        ).run().result
         assert serial.d_ba.records == sharded.d_ba.records
 
     def test_matches_sequential_structure(self, sharded, crawl):

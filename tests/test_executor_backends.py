@@ -1,7 +1,7 @@
 """Execution backends: resolution, cross-backend determinism, clamping.
 
-The backend must be a pure scheduling choice — serial, thread and
-process campaigns archive byte-identically, including a process-backend
+The backend must be a pure scheduling choice — serial and process
+campaigns archive byte-identically, including a process-backend
 campaign that crashed and was resumed from checkpoints.  These tests pin
 that contract at the artefact level (``save_crawl`` bytes), plus the
 resolution order, the shard-count clamp, and the process-pool pickling
@@ -9,28 +9,31 @@ seams.
 """
 
 import pickle
+import tempfile
 
 import pytest
 
 from repro.crawler.archive import save_crawl
 from repro.crawler.checkpoint import RetryPolicy
 from repro.crawler.executor import (
-    BACKEND_ENV_VAR,
     CrashSchedule,
-    ProcessBackend,
-    SerialBackend,
     ShardFailedError,
-    ThreadBackend,
     WorldReconstructionError,
     WorldSpec,
     _world_for,
+    effective_shard_count,
+    world_fingerprint,
+)
+from repro.crawler.resumable import ResumableCrawl
+from repro.util.executor import (
+    BACKEND_ENV_VAR,
+    BACKEND_NAMES,
+    ProcessBackend,
+    SerialBackend,
     create_backend,
     is_picklable,
     resolve_backend_name,
-    world_fingerprint,
 )
-from repro.crawler.parallel import ShardedCrawl, effective_shard_count
-from repro.crawler.resumable import ResumableCrawl
 from repro.obs import EventKind, Tracer
 from repro.web.config import WorldConfig
 from repro.web.generator import WebGenerator
@@ -55,9 +58,9 @@ _ARCHIVE_FILES = (
 
 
 class TestBackendResolution:
-    def test_default_is_thread(self, monkeypatch):
+    def test_default_is_serial(self, monkeypatch):
         monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
-        assert resolve_backend_name(None) == "thread"
+        assert resolve_backend_name(None) == "serial"
 
     def test_environment_selects(self, monkeypatch):
         monkeypatch.setenv(BACKEND_ENV_VAR, "process")
@@ -73,10 +76,12 @@ class TestBackendResolution:
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError, match="unknown crawl backend"):
             resolve_backend_name("fork")
+        with pytest.raises(ValueError, match="unknown crawl backend"):
+            resolve_backend_name("thread")
 
     def test_create_backend_materialises_each(self):
+        assert BACKEND_NAMES == ("serial", "process")
         assert isinstance(create_backend("serial", 4), SerialBackend)
-        assert isinstance(create_backend("thread", 4), ThreadBackend)
         assert isinstance(create_backend("process", 4), ProcessBackend)
 
     def test_create_backend_passes_instances_through(self):
@@ -85,7 +90,7 @@ class TestBackendResolution:
 
     def test_worker_count_validated(self):
         with pytest.raises(ValueError):
-            ThreadBackend(0)
+            ProcessBackend(0)
         with pytest.raises(ValueError):
             ProcessBackend(-1)
 
@@ -103,7 +108,7 @@ class TestCrossBackendDeterminism:
             sites=TINY_SITES,
             seed=11,
             shard_counts=(3,),
-            backends=("serial", "thread", "process"),
+            backends=("serial", "process"),
         )
 
     def test_backend_equivalence_relation(self, harness):
@@ -115,15 +120,16 @@ class TestCrossBackendDeterminism:
         harness comparator has gone blind."""
         harness.check_backend_equivalence()  # archives cached by the run
         reference = (harness.workdir / "shards-3" / "d_ba.jsonl").read_bytes()
-        for backend in ("thread", "process"):
-            candidate = harness.workdir / f"backend-{backend}" / "d_ba.jsonl"
-            assert candidate.read_bytes() == reference
+        candidate = harness.workdir / "backend-process" / "d_ba.jsonl"
+        assert candidate.read_bytes() == reference
 
     def test_environment_backend_matches(self, tiny_world, monkeypatch):
         monkeypatch.setenv(BACKEND_ENV_VAR, "serial")
-        result = ShardedCrawl(tiny_world, shard_count=3).run()
+        result = ResumableCrawl(tiny_world, None, shard_count=3).run().result
         via_env = {r.domain for r in result.d_ba}
-        explicit = ShardedCrawl(tiny_world, shard_count=3, backend="serial").run()
+        explicit = ResumableCrawl(
+            tiny_world, None, shard_count=3, backend="serial"
+        ).run().result
         assert via_env == {r.domain for r in explicit.d_ba}
 
 
@@ -190,7 +196,7 @@ class TestProcessCrashResume:
         )
         assert crawl._resolve_backend(2).name == "process"
 
-    def test_closure_injector_downgrades_to_thread(self, tiny_world, tmp_path):
+    def test_closure_injector_downgrades_to_serial(self, tiny_world, tmp_path):
         captured = []
 
         def injector(shard, attempt):  # closures cannot cross the pool
@@ -204,7 +210,41 @@ class TestProcessCrashResume:
             backend="process",
             fault_injector=injector,
         )
-        assert crawl._resolve_backend(2).name == "thread"
+        assert crawl._resolve_backend(2).name == "serial"
+
+
+class TestWithoutCheckpoints:
+    """``checkpoint_dir=None`` runs the same campaign with nothing on disk."""
+
+    @pytest.mark.parametrize("backend", ["serial", "process"])
+    def test_matches_checkpointed_run_and_writes_nothing(
+        self, tiny_world, tmp_path, monkeypatch, backend
+    ):
+        checkpointed = ResumableCrawl(
+            tiny_world,
+            tmp_path / "checkpoints",
+            shard_count=3,
+            checkpoint_every=25,
+            backend=backend,
+            max_workers=2,
+        ).run()
+        assert (tmp_path / "checkpoints" / "MANIFEST.json").exists()
+
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        monkeypatch.setattr(tempfile, "tempdir", str(work))
+        plain = ResumableCrawl(
+            tiny_world, None, shard_count=3, backend=backend, max_workers=2
+        ).run()
+        assert list(work.iterdir()) == []
+
+        expected = save_crawl(checkpointed.result, tmp_path / "a-checkpointed")
+        actual = save_crawl(plain.result, tmp_path / "a-plain")
+        for filename in _ARCHIVE_FILES:
+            assert (actual / filename).read_bytes() == (
+                expected / filename
+            ).read_bytes(), f"{filename} diverged without checkpoints"
 
 
 class TestShardCountClamp:
@@ -236,9 +276,9 @@ class TestShardCountClamp:
         """Regression: a zero/negative count must fail fast in the
         constructor, not surface later from run()."""
         with pytest.raises(ValueError, match="shard_count must be positive, got 0"):
-            ShardedCrawl(tiny_world, shard_count=0)
+            ResumableCrawl(tiny_world, None, shard_count=0)
         with pytest.raises(ValueError, match="got -2"):
-            ShardedCrawl(tiny_world, shard_count=-2)
+            ResumableCrawl(tiny_world, None, shard_count=-2)
 
     def test_resumable_crawl_rejects_nonpositive_count_at_construction(
         self, tiny_world, tmp_path

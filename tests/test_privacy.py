@@ -146,12 +146,12 @@ class TestStudy:
             assert isinstance(default, tuple), f"{parameter} default must be a tuple"
 
     def test_backend_does_not_change_the_study(self, result):
-        threaded = run_reidentification(
+        parallel = run_reidentification(
             ReidentificationConfig(population_size=40, observation_epochs=4),
-            backend="thread",
-            max_workers=3,
+            backend="process",
+            max_workers=2,
         )
-        assert threaded.linkage.true_match_ranks == result.linkage.true_match_ranks
+        assert parallel.linkage.true_match_ranks == result.linkage.true_match_ranks
 
     def test_study_matches_legacy_per_user_pipeline(self, result):
         """The columnar + sparse study reproduces the original loop."""

@@ -85,7 +85,7 @@ class TestSparseDenseEquivalence:
             )
             assert dense.true_match_ranks == sparse.true_match_ranks == (9,) * 9
 
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_backends_identical(self, backend):
         views_a = [[(u % 5, u % 3), (u % 7,)] for u in range(40)]
         views_b = [[(u % 5,), (u % 7, u % 2)] for u in range(40)]

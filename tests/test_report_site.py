@@ -21,7 +21,7 @@ import pytest
 
 from repro.cli import main
 from repro.crawler.archive import save_crawl
-from repro.crawler.parallel import ShardedCrawl
+from repro.crawler.resumable import ResumableCrawl
 from repro.report.bench import history_series, load_history
 from repro.report.html import NAV_PAGES
 from repro.report.site import build_site, generate_report, resolve_history
@@ -68,7 +68,7 @@ def instrumented_archive(tmp_path_factory):
 def bare_archive(tiny_world, tmp_path_factory):
     """The same campaign archived with no optional artefacts at all."""
     out = tmp_path_factory.mktemp("bare") / "arc"
-    save_crawl(ShardedCrawl(tiny_world, shard_count=3).run(), out)
+    save_crawl(ResumableCrawl(tiny_world, None, shard_count=3).run().result, out)
     return out
 
 
@@ -90,9 +90,9 @@ class TestDeterminism:
     ):
         # Same archive *name* on both sides: the page title embeds it.
         for backend in ("serial", "process"):
-            result = ShardedCrawl(
-                tiny_world, shard_count=3, backend=backend
-            ).run()
+            result = ResumableCrawl(
+                tiny_world, None, shard_count=3, backend=backend
+            ).run().result
             save_crawl(result, tmp_path / backend / "arc")
             generate_report(
                 tmp_path / backend / "arc", out=tmp_path / backend / "site"

@@ -12,8 +12,8 @@ from __future__ import annotations
 import pytest
 
 from repro.crawler.checkpoint import CheckpointStore, RetryPolicy
-from repro.crawler.parallel import ShardedCrawl
-from repro.crawler.resumable import ResumableCrawl, ShardFailedError
+from repro.crawler.executor import ShardFailedError
+from repro.crawler.resumable import ResumableCrawl
 from repro.obs import EventKind, MetricsRegistry, SpanRecorder, Tracer
 from repro.obs.spans import (
     SPAN_CHECKPOINT_RESTORE,
@@ -36,7 +36,7 @@ def resume_world():
 @pytest.fixture(scope="module")
 def baseline(resume_world):
     """The uninterrupted campaign every recovery scenario must match."""
-    return ShardedCrawl(resume_world, shard_count=SHARDS).run()
+    return ResumableCrawl(resume_world, None, shard_count=SHARDS).run().result
 
 
 def _jsonl(dataset) -> str:

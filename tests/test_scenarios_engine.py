@@ -80,12 +80,12 @@ class TestRunSweep:
             assert marker.archive_digest == archive_digest(cell_dir)
             assert [name for name, _ in marker.metrics] == list(METRIC_NAMES)
 
-    def test_thread_backend_matches_serial_bytes(self, tmp_path):
+    def test_process_backend_matches_serial_bytes(self, tmp_path):
         spec = tiny_spec()
         run_sweep(spec, tmp_path / "serial", backend="serial")
-        run_sweep(spec, tmp_path / "thread", backend="thread", max_workers=4)
+        run_sweep(spec, tmp_path / "process", backend="process", max_workers=2)
         assert tree_bytes(tmp_path / "serial") == tree_bytes(
-            tmp_path / "thread"
+            tmp_path / "process"
         )
 
     def test_assertions_feed_the_report(self, tmp_path):

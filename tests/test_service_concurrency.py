@@ -53,7 +53,7 @@ class TestSharedWorldCache:
 
         async def concurrent():
             service = CrawlService(
-                tmp_path / "concurrent", max_jobs=2, backend="thread"
+                tmp_path / "concurrent", max_jobs=2, backend="serial"
             )
             await service.start()
             archives = await _submit_all(service, specs)
@@ -68,7 +68,7 @@ class TestSharedWorldCache:
         async def serial():
             # max_jobs=1 forces one-at-a-time execution of the same specs.
             service = CrawlService(
-                tmp_path / "serial", max_jobs=1, backend="thread"
+                tmp_path / "serial", max_jobs=1, backend="serial"
             )
             await service.start()
             archives = await _submit_all(service, specs)

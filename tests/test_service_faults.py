@@ -38,7 +38,7 @@ SEED = 3
 SHARDS = 3
 EVERY = 10  # checkpoint cadence: small so kills always leave a prefix
 
-BACKENDS = ("serial", "thread", "process")
+BACKENDS = ("serial", "process")
 
 
 @pytest.fixture(scope="module")

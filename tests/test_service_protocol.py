@@ -167,3 +167,38 @@ class TestRoundTrips:
         client.shutdown()
         harness.join()
         assert not harness.socket_path.exists()
+
+
+class TestBackendValidation:
+    @pytest.mark.parametrize("backend", ["thread", "fork"])
+    def test_unknown_backend_rejected_at_submit(self, harness, backend):
+        client = ServiceClient(harness.socket_path)
+        with pytest.raises(ServiceClientError, match="unknown crawl backend"):
+            client.submit({**SPEC, "backend": backend})
+        assert client.list_jobs() == []
+        assert client.ping()
+
+    def test_stored_record_with_removed_backend_still_loads(self, tmp_path):
+        """A finished job recorded under a backend that no longer exists
+        is history, not a submission: the service starts and lists it."""
+        from repro.service.jobs import JobRecord, JobSpec, JobState, JobTable
+
+        h = ServiceHarness(tmp_path)
+        JobTable(h.data_dir / "jobs").save(
+            JobRecord(
+                job_id="job-000001",
+                spec=JobSpec(sites=SITES, backend="thread"),
+                state=JobState.DONE,
+                summary={"targets": SITES},
+            )
+        )
+        h.start()
+        try:
+            client = ServiceClient(h.socket_path)
+            (job,) = client.list_jobs()
+            assert job["job_id"] == "job-000001"
+            assert job["state"] == "done"
+            assert job["spec"]["backend"] == "thread"
+        finally:
+            ServiceClient(h.socket_path).shutdown()
+            h.join()

@@ -23,7 +23,7 @@ from pathlib import Path
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.crawler.archive import save_crawl
-from repro.crawler.parallel import ShardedCrawl
+from repro.crawler.resumable import ResumableCrawl
 from repro.service import (
     CrawlService,
     EVENT_JOB_DONE,
@@ -92,9 +92,9 @@ def test_stream_reassembles_batch_result(sites: int, shards: int, seed: int):
         shard_ids = [e.payload["shard"] for e in results]
         assert len(shard_ids) == len(set(shard_ids))
         batch_world = WebGenerator(spec.world_config()).generate()
-        batch = ShardedCrawl(
-            batch_world, shard_count=shards, backend="serial"
-        ).run()
+        batch = ResumableCrawl(
+            batch_world, None, shard_count=shards, backend="serial"
+        ).run().result
         archive = save_crawl(batch, tmp_path / "batch")
         assert sorted(shard_ids) == list(range(len(results)))
 

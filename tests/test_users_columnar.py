@@ -144,7 +144,7 @@ class TestRunManyEquivalence:
             for user_id in range(len(population)):
                 assert buffers.view(user_id, caller) == reference[caller][user_id]
 
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_backends_byte_identical(self, generator, buffers, backend):
         result = generator.run_many(
             EPOCHS, QUERY_EPOCHS, backend=backend, max_workers=2, shard_count=3

@@ -26,7 +26,7 @@ def harness(tmp_path_factory):
         sites=META_SITES,
         seed=11,
         shard_counts=(1, 2, 3),
-        backends=("serial", "thread"),
+        backends=("serial", "process"),
     )
 
 
