@@ -5,7 +5,10 @@ browsing history, the (possibly deliberately corrupted) enrolment
 allow-list database, the cache, the consent ledger and the instrumented
 Topics manager.  :meth:`Browser.visit` performs one page load end to end —
 redirects, resource fetches, consent gating, script execution, iframe
-contexts — and returns everything the paper's crawler records about it.
+contexts — by replaying the page's precomputed
+:class:`~repro.browser.plan.SitePlan`, emits the visit's trace events,
+metrics and stage spans from that replay, and returns everything the
+paper's crawler records about it.
 """
 
 from __future__ import annotations
@@ -16,12 +19,10 @@ from typing import TYPE_CHECKING
 
 from repro.attestation.allowlist import AllowListDatabase
 from repro.browser.consent import ConsentLedger
-from repro.browser.context import root_context_for
 from repro.browser.cookies import Cookie, CookieJar, CookieTracker
-from repro.browser.network import BrowserCache, NetworkLog, NetworkStack
-from repro.browser.script import ScriptOriginMode, ScriptRuntime
+from repro.browser.network import BrowserCache
+from repro.browser.script import ScriptOriginMode
 from repro.browser.failures import failure_kind_for
-from repro.browser.topics.api import TopicsApi
 from repro.browser.topics.manager import BrowsingTopicsSiteDataManager, TopicsApiCall
 from repro.browser.topics.selection import EpochTopicsSelector
 from repro.browser.topics.types import ApiCallType
@@ -36,13 +37,21 @@ from repro.obs import (
 )
 from repro.obs.spans import SPAN_NAVIGATE, SPAN_SCRIPT_EXEC, SPAN_TOPICS_CALL
 from repro.taxonomy.classifier import SiteClassifier
-from repro.util.psl import etld_plus_one
 from repro.util.text import stable_digest
 from repro.util.timeline import SimClock
+from repro.util.urls import parse_url
 from repro.web.banner import ConsentBanner
 
 if TYPE_CHECKING:
+    from repro.browser.plan import SitePlan
     from repro.web.generator import SyntheticWeb
+
+#: The page-script surface a Topics call came through, per call type.
+CALLER_CONTEXT = {
+    ApiCallType.JAVASCRIPT: "js",
+    ApiCallType.FETCH: "fetch",
+    ApiCallType.IFRAME: "iframe",
+}
 
 #: Error label for a domain outside the generated world entirely
 #: (real failure causes come from :mod:`repro.browser.failures`).
@@ -67,19 +76,27 @@ class VisitOutcome:
     final_url: str = ""
     consent_granted: bool = False
     banner: ConsentBanner | None = None
-    loaded_hosts: frozenset[str] = frozenset()
-    third_party_domains: frozenset[str] = frozenset()
     topics_calls: tuple[TopicsApiCall, ...] = ()
-    #: Plan-built visits carry their third parties pre-sorted and the CMP
-    #: pre-detected (both fixed per (site, consent) variant), sparing the
-    #: crawler a sort + detection pass per record.  ``detected_cmp`` is
-    #: only meaningful when ``third_parties_sorted`` is not None.
-    third_parties_sorted: tuple[str, ...] | None = None
+    #: every URL the visit fetched, deduplicated (order not significant)
+    fetched_urls: tuple[str, ...] = ()
+    #: registrable domains of the objects not belonging to the page,
+    #: sorted — the plan's own tuple, shared across visits
+    third_parties_sorted: tuple[str, ...] = ()
+    #: the CMP detected from the loaded hosts (None when there is none)
     detected_cmp: str | None = None
 
     @property
     def redirected(self) -> bool:
         return self.ok and self.final_domain != self.requested_domain
+
+    @property
+    def loaded_hosts(self) -> frozenset[str]:
+        """Every host contacted."""
+        return frozenset(parse_url(url).host for url in self.fetched_urls)
+
+    @property
+    def third_party_domains(self) -> frozenset[str]:
+        return frozenset(self.third_parties_sorted)
 
 
 class Browser:
@@ -128,28 +145,18 @@ class Browser:
             allowlist_db=self.allowlist_db,
             topics_enabled=topics_enabled,
         )
-        self._api = TopicsApi(self.topics_manager, tracer=tracer, metrics=metrics)
-        self._network = NetworkStack(BrowserCache())
-        self._runtime = ScriptRuntime(
-            world, self._api, self._network, script_origin_mode, self.cookie_tracker
-        )
+        self.cache = BrowserCache()
         self._visit_counter = 0
         self._failed_attempts: dict[str, int] = {}
-        # Visit-plan fast path: with all instrumentation off (no tracer,
-        # metrics or spans to feed per-stage events), visits execute from
-        # the world's precomputed SitePlans instead of re-walking pages.
-        # Stub worlds without a planner simply keep the legacy path.
-        self._planner = None
-        if not (tracer.enabled or metrics.enabled or spans.enabled):
-            planner_factory = getattr(world, "visit_planner", None)
-            if planner_factory is not None:
-                self._planner = planner_factory(script_origin_mode)
+        # Every reachable page loads by replaying the world's precomputed
+        # SitePlan for it, shared by every browser over the world.
+        self._planner = world.visit_planner(script_origin_mode)
 
     # -- profile management --------------------------------------------------------
 
     def clear_cache(self) -> None:
         """Drop the object cache (between Before- and After-Accept)."""
-        self._network.cache.clear()
+        self.cache.clear()
 
     def refresh_allowlist(self) -> None:
         """Re-install a healthy allow-list component (browser restart)."""
@@ -189,7 +196,7 @@ class Browser:
             "rng_cursor": self._visit_counter,
             "failed_attempts": dict(sorted(self._failed_attempts.items())),
             "consent": sorted(self.consent._granted),
-            "cache": sorted(self._network.cache._entries),
+            "cache": sorted(self.cache._entries),
             "allowlist_corrupt": self.allowlist_db.is_corrupt,
             "cookies": [
                 {
@@ -227,9 +234,8 @@ class Browser:
         self.consent.clear()
         for domain in snapshot["consent"]:
             self.consent.grant(domain)
-        self._network.cache.clear()
-        for url in snapshot["cache"]:
-            self._network.cache._entries.add(url)
+        self.cache.clear()
+        self.cache._entries.update(snapshot["cache"])
         self.cookie_jar.clear()
         for payload in snapshot["cookies"]:
             self.cookie_jar._store[(payload["domain"], payload["name"])] = Cookie(
@@ -346,6 +352,45 @@ class Browser:
                 )
                 cursor = call_end
 
+    def _trace_visit(
+        self, domain: str, outcome: VisitOutcome, load_seconds: int
+    ) -> None:
+        """Count and trace a loaded page and each Topics call it made."""
+        metrics = self._metrics
+        tracer = self._tracer
+        for call in outcome.topics_calls:
+            surface = CALLER_CONTEXT[call.call_type]
+            metrics.counter(
+                "topics_calls_total",
+                type=call.call_type.value,
+                decision=call.decision.value,
+            )
+            tracer.emit(
+                EventKind.TOPICS_CALL,
+                at=call.at,
+                caller=call.caller,
+                caller_host=call.caller_host,
+                site=call.site,
+                call_type=call.call_type.value,
+                caller_context=f"{surface}:{call.caller_host}",
+                decision=call.decision.value,
+                allowed=call.allowed,
+                topics_returned=call.topics_returned,
+            )
+        metrics.counter("browser_visits_total", outcome="ok")
+        metrics.observe("visit_seconds", load_seconds, outcome="ok")
+        tracer.emit(
+            EventKind.VISIT_FINISHED,
+            at=self.clock.now(),
+            domain=domain,
+            ok=True,
+            final_domain=outcome.final_domain,
+            consent_granted=outcome.consent_granted,
+            third_parties=len(outcome.third_parties_sorted),
+            topics_calls=len(outcome.topics_calls),
+            load_seconds=load_seconds,
+        )
+
     # -- navigation -----------------------------------------------------------------
 
     def visit(self, domain: str, consent_granted: bool | None = None) -> VisitOutcome:
@@ -400,112 +445,44 @@ class Browser:
 
         if consent_granted is None:
             consent_granted = self.consent.is_granted(domain)
-
-        if self._planner is not None:
-            return self._planned_visit(domain, consent_granted)
-
-        final_site = site
-        if site.redirect_to is not None:
-            final_site = self._world.site(site.redirect_to)
-
-        page = final_site.build_page(self._world)
-        log = NetworkLog()
-        call_mark = self.topics_manager.call_count
-        now = self.clock.now()
-        page_domain = final_site.domain
-        fetches = 0
-        scripts_run = 0
-
-        self._network.fetch(page.url, page_domain, now, log)
-        fetches += 1
-        self.topics_manager.record_page_visit(page_domain, now)
-        root = root_context_for(page.url)
-
-        for resource in page.resources:
-            if resource.gated and not consent_granted:
-                continue
-            self._network.fetch(resource.src, page_domain, now, log)
-            fetches += 1
-
-        for tag in page.scripts:
-            if tag.gated and not consent_granted:
-                continue
-            self._network.fetch(tag.src, page_domain, now, log)
-            fetches += 1
-            self._runtime.execute(tag, root, consent_granted, now, log, page_domain)
-            scripts_run += 1
-
-        for frame in page.iframes:
-            if frame.gated and not consent_granted:
-                continue
-            self._network.fetch(frame.src, page_domain, now, log)
-            fetches += 1
-            if frame.browsingtopics_attr and self.topics_manager.topics_enabled:
-                child, _ = self._api.iframe_with_topics(root, frame.src, now)
-            else:
-                child = root.open_iframe(frame.src)
-            for inner in frame.scripts:
-                self._network.fetch(inner.src, page_domain, now, log)
-                fetches += 1
-                self._runtime.execute(
-                    inner, child, consent_granted, now, log, page_domain
-                )
-                scripts_run += 1
-
-        calls = tuple(self.topics_manager.drain_calls_since(call_mark))
+        plan = self._planner.plan_for(domain, consent_granted)
+        outcome = self._planned_visit(domain, plan, consent_granted)
         if self._spans.enabled:
             self._record_stage_spans(
-                domain, load_seconds, fetches, scripts_run, calls,
+                domain,
+                load_seconds,
+                plan.fetches,
+                plan.scripts_run,
+                outcome.topics_calls,
                 redirected=site.redirect_to is not None,
             )
         if instrumented:
-            self._metrics.counter("browser_visits_total", outcome="ok")
-            self._metrics.observe("visit_seconds", load_seconds, outcome="ok")
-            self._tracer.emit(
-                EventKind.VISIT_FINISHED,
-                at=self.clock.now(),
-                domain=domain,
-                ok=True,
-                final_domain=final_site.domain,
-                consent_granted=consent_granted,
-                third_parties=len(log.third_party_domains(page_domain)),
-                topics_calls=len(calls),
-                load_seconds=load_seconds,
-            )
-        return VisitOutcome(
-            requested_domain=domain,
-            ok=True,
-            final_domain=final_site.domain,
-            url=str(site.url),
-            final_url=str(page.url),
-            consent_granted=consent_granted,
-            banner=page.banner,
-            loaded_hosts=frozenset(log.hosts()),
-            third_party_domains=frozenset(log.third_party_domains(page_domain)),
-            topics_calls=calls,
-        )
+            self._trace_visit(domain, outcome, load_seconds)
+        return outcome
 
-    def _planned_visit(self, domain: str, consent_granted: bool) -> VisitOutcome:
-        """Execute a visit from its precomputed :class:`SitePlan`.
+    def _planned_visit(
+        self, domain: str, plan: "SitePlan", consent_granted: bool
+    ) -> VisitOutcome:
+        """Replay one page load from its precomputed :class:`SitePlan`.
 
-        Performs exactly the state mutations the legacy path would — page
+        Performs exactly the state mutations the page walk would — page
         history, cache inserts, cookie impressions, Topics calls and
         observations, in page order — but reads every static decision
         (which tags run, who calls, how often) from the plan.  Reachable
         sites only; the caller has already resolved reachability,
         retries and consent.
         """
-        plan = self._planner.plan_for(domain, consent_granted)
         manager = self.topics_manager
         tracker = self.cookie_tracker
+        cache = self.cache._entries
         now = self.clock.now()
         page_domain = plan.page_domain
 
-        self._network.cache._entries.update(plan.cache_urls)
+        cache.update(plan.cache_urls)
         manager.record_page_visit(page_domain, now)
         call_mark = manager.call_count
         enabled = manager.topics_enabled
-        fired_hosts: set[str] | None = set() if plan.conditional else None
+        fired = []
 
         for op in plan.ops:
             if op.impression_host is not None:
@@ -518,12 +495,12 @@ class Browser:
                     continue
                 # A fired conditional call fetches its endpoint whether or
                 # not the API itself is enabled (the fetch precedes the
-                # call on the legacy path).
-                self._network.cache._entries.add(call.fetch_url)
-                fired_hosts.add(call.fetch_host)
+                # call in the page walk).
+                cache.add(call.fetch_url)
+                fired.append(call.fetch_url)
             if not enabled:
-                # Legacy semantics: every attempt raises before mutating
-                # any state; ad tags swallow it, rogue loops bail out.
+                # Every attempt raises before mutating any state; ad tags
+                # swallow it, rogue loops bail out.
                 continue
             if call.javascript:
                 for _ in range(call.count):
@@ -548,26 +525,9 @@ class Browser:
                             call.caller_host, page_domain, now
                         )
 
-        calls = tuple(manager.drain_calls_since(call_mark))
-        if fired_hosts:
-            loaded_hosts = frozenset(plan.loaded_hosts | fired_hosts)
-            third = set(plan.third_parties)
-            for host in fired_hosts:
-                registrable = etld_plus_one(host)
-                if registrable != page_domain:
-                    third.add(registrable)
-            third_party_domains = frozenset(third)
-            third_parties_sorted = tuple(sorted(third))
-            cmp_name = (
-                self._world.cmps.detect_from_domains(loaded_hosts)
-                if plan.cmp_rescan
-                else plan.cmp
-            )
-        else:
-            loaded_hosts = plan.loaded_hosts
-            third_party_domains = plan.third_parties
-            third_parties_sorted = plan.third_parties_sorted
-            cmp_name = plan.cmp
+        fetched_urls = plan.cache_urls
+        if fired:
+            fetched_urls = tuple(dict.fromkeys(fetched_urls + tuple(fired)))
         return VisitOutcome(
             requested_domain=domain,
             ok=True,
@@ -576,9 +536,8 @@ class Browser:
             final_url=plan.final_url,
             consent_granted=consent_granted,
             banner=plan.banner,
-            loaded_hosts=loaded_hosts,
-            third_party_domains=third_party_domains,
-            topics_calls=calls,
-            third_parties_sorted=third_parties_sorted,
-            detected_cmp=cmp_name,
+            topics_calls=tuple(manager.drain_calls_since(call_mark)),
+            fetched_urls=fetched_urls,
+            third_parties_sorted=plan.third_parties_sorted,
+            detected_cmp=plan.cmp,
         )

@@ -1,19 +1,21 @@
-"""Precomputed visit plans: the browser's batched fast path.
+"""Precomputed visit plans: the browser's visit engine.
 
 Page materialisation and tag execution are deterministic per
 (requested domain, consent state, script-origin mode): which tags a
 page carries, which URLs they fetch, which ad tags fire, as what caller,
 with which call type and how many repeats — all of it is a stable
-function of world data.  The legacy :meth:`Browser.visit` recomputes
-every bit of it on every visit, which dominates the shard inner loop.
+function of world data.  Walking the page tag by tag on every visit
+would recompute every bit of it and dominate the shard inner loop.
 
 A :class:`VisitPlanner` walks the page **once** per (domain, consent)
 variant and bakes the result into a :class:`SitePlan`:
 
-* the static fetch surface — URL strings for the browser cache, the
-  loaded-host set and the third-party registrable set, pre-frozen (and
-  pre-sorted) so every visit shares one object instead of rebuilding
-  them;
+* the static fetch surface — URL strings for the browser cache and the
+  sorted third-party registrable domains, built once so every visit
+  shares one object instead of rebuilding them;
+* the telemetry shape of the load — how many objects the page walk
+  fetches and how many scripts it runs — which the browser's stage
+  spans apportion the visit window by;
 * the pre-detected CMP name (Wappalyzer-style detection over the static
   host set — the batched topic-classification/allow-list sibling checks
   happen inside the manager, which the plan still calls per visit);
@@ -23,13 +25,13 @@ variant and bakes the result into a :class:`SitePlan`:
 
 Plans bake **no per-profile state**: browsing history, the cookie jar,
 allow-list gating, epoch topic selection and the clock all flow through
-the same manager/tracker entry points the legacy path uses, in the same
+the same manager/tracker entry points the page walk uses, in the same
 order.  The only time-dependent decision — an alternating A/B policy's
 ON/OFF window (doubleclick.net, criteo.com) — stays dynamic: such ops
-carry their policy and are re-evaluated against the visit clock.  A
-planned visit is therefore byte-identical to a legacy visit, which the
-metamorphic harness's instrumentation-transparency relation pins (the
-instrumented backend takes the legacy path, the bare one the plans).
+carry their policy and are re-evaluated against the visit clock.  Plan
+replay is the browser's only visit engine; the test suite keeps the
+page walk (``ScriptRuntime`` over ``NetworkStack``) as its reference
+and pins every visit of a generated world equal to it.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
-from repro.browser.script import ScriptOriginMode
+from repro.browser.script import ScriptOriginMode, consent_environment_multiplier
 from repro.browser.topics.types import ApiCallType
 from repro.util.psl import etld_plus_one
 from repro.web.page import ScriptKind, ScriptTag
@@ -58,9 +60,13 @@ class PlannedCall:
     the fetch/iframe surfaces call with ``observe=False`` and record the
     observation afterwards when the response opts in and the call was
     allowed — exactly the split in :mod:`repro.browser.topics.api`.
-    ``fetch_url`` is only set on conditional (alternating-policy) ops,
-    whose fetch joins the visit's cache surface when the policy fires;
-    static ops' fetches are already part of the plan's URL set.
+    ``fetch_url`` is set on ad-tag calls; for conditional
+    (alternating-policy) ops that fetch joins the visit's cache surface
+    only when the policy fires, while static ops' fetches are already
+    part of the plan's URL set.  The endpoint shares its registrable
+    domain with the ad tag that calls it, which the plan's third parties
+    already hold — so a fired call never changes a visit's third
+    parties or detected CMP.
     """
 
     caller_host: str
@@ -69,7 +75,6 @@ class PlannedCall:
     javascript: bool
     fetch_url: str | None = None
     fetch_host: str | None = None
-    fetch_registrable: str | None = None
 
 
 @dataclass(frozen=True, slots=True)
@@ -101,15 +106,15 @@ class SitePlan:
     #: every URL the visit fetches (deduplicated) — bulk-inserted into
     #: the browser cache, replacing per-tag NetworkStack.fetch calls
     cache_urls: tuple[str, ...]
-    loaded_hosts: frozenset[str]
-    third_parties: frozenset[str]
     third_parties_sorted: tuple[str, ...]
     ops: tuple[PlannedOp, ...]
+    #: page-level fetches (document, resources, script and frame
+    #: sources; ad-call endpoints excluded) and scripts executed — the
+    #: work mix the navigate/script-exec stage spans are carved from
+    fetches: int
+    scripts_run: int
     #: True when any op carries an alternating policy (per-visit re-check)
     conditional: bool = False
-    #: True when a fired conditional host could flip CMP detection (never
-    #: in the shipped catalogue; kept for correctness with custom worlds)
-    cmp_rescan: bool = False
 
 
 class VisitPlanner:
@@ -125,6 +130,17 @@ class VisitPlanner:
         self._world = world
         self._mode = mode
         self._pairs: dict[str, tuple[SitePlan, SitePlan]] = {}
+        # Values that recur across sites — a service's script host, URL
+        # and impression op, a call shape, a third-party set — are held
+        # once per planner: a long-lived process keeping thousands of
+        # plans stores each once, and the compiler builds each once.
+        self._sources: dict[str, tuple[str, str, PlannedOp]] = {}
+        self._calls: dict[tuple, PlannedCall] = {}
+        self._shared: dict = {}
+
+    def _share(self, value):
+        """The planner's one instance of ``value``."""
+        return self._shared.setdefault(value, value)
 
     def plan_for(self, domain: str, consent_granted: bool) -> SitePlan:
         """The (Before-Accept, After-Accept) plan for ``domain``'s page.
@@ -179,12 +195,12 @@ class VisitPlanner:
         return self._compile_final(site)
 
     def _compile_final(self, site: "Website") -> tuple[SitePlan, SitePlan]:
-        # Registrable domains are tracked alongside hosts instead of being
-        # re-derived per host at assembly: every host the compiler emits
-        # has a known eTLD+1 by construction (``static.{tp}`` → ``tp``,
-        # ``www.{d}`` → ``d``, …); only rogue frame hosts need a lookup.
-        # The compile ≡ page-walk test pins this against ``_build``, which
-        # still derives everything through ``etld_plus_one``.
+        # Registrable domains are tracked directly instead of being
+        # derived from hosts: every host the compiler emits has a known
+        # eTLD+1 by construction (``static.{tp}`` → ``tp``, ``www.{d}`` →
+        # ``d``, …); only rogue frame hosts need a lookup.  The compile ≡
+        # page-walk test pins this against ``_build``, which still
+        # derives everything through ``etld_plus_one``.
         world = self._world
         page_domain = site.domain
         page_host = f"www.{page_domain}"
@@ -194,6 +210,8 @@ class VisitPlanner:
         script_url_mode = self._mode is ScriptOriginMode.SCRIPT_URL
         services = world.third_parties
         rogue = site.rogue
+        sources = self._sources
+        share = self._share
 
         urls_ba = [
             page_url,
@@ -201,14 +219,17 @@ class VisitPlanner:
             f"{page_url}static/logo.png",
         ]
         urls_aa = list(urls_ba)
-        hosts_ba = {page_host}
-        hosts_aa = {page_host}
         regs_ba = {page_domain}
         regs_aa = {page_domain}
+        # Every tag the page walk executes is one script run and one
+        # fetch on top of the document and its two static resources.
+        scripts_ba = 0
+        scripts_aa = 0
+        frames = 0
         ops_ba: list[PlannedOp] = []
         ops_aa: list[PlannedOp] = []
         conditional_aa = False
-        multiplier = self._environment_multiplier(page_domain)
+        multiplier = consent_environment_multiplier(world, page_domain)
 
         if banner is not None and banner.cmp is not None:
             cmp_domain = world.cmp_domain(banner.cmp)
@@ -216,10 +237,10 @@ class VisitPlanner:
             cmp_url = f"https://{cmp_host}/cmp/stub.js"
             urls_ba.append(cmp_url)
             urls_aa.append(cmp_url)
-            hosts_ba.add(cmp_host)
-            hosts_aa.add(cmp_host)
             regs_ba.add(cmp_domain)
             regs_aa.add(cmp_domain)
+            scripts_ba += 1
+            scripts_aa += 1
 
         for tp_domain in site.embedded:
             service = services.get(tp_domain)
@@ -230,10 +251,10 @@ class VisitPlanner:
                 gtm_url = "https://www.googletagmanager.com/gtm.js?id=GTM-XXXX"
                 urls_ba.append(gtm_url)
                 urls_aa.append(gtm_url)
-                hosts_ba.add("www.googletagmanager.com")
-                hosts_aa.add("www.googletagmanager.com")
                 regs_ba.add(GTM_DOMAIN)
                 regs_aa.add(GTM_DOMAIN)
+                scripts_ba += 1
+                scripts_aa += 1
                 if (
                     rogue is not None
                     and rogue.variant is RogueVariant.ROOT_GTM
@@ -258,25 +279,31 @@ class VisitPlanner:
             gated = bool(service and service.consent_gated) and (
                 enforce or not service.loads_preconsent_on(page_domain)
             )
-            host = f"static.{tp_domain}"
-            url = f"https://{host}{SCRIPT_PATHS[category]}"
+            source = sources.get(tp_domain)
+            if source is None:
+                host = f"static.{tp_domain}"
+                source = sources[tp_domain] = (
+                    host,
+                    f"https://{host}{SCRIPT_PATHS[category]}",
+                    PlannedOp(impression_host=host),
+                )
+            host, url, impression = source
             if not gated:
                 urls_ba.append(url)
-                hosts_ba.add(host)
                 regs_ba.add(tp_domain)
+                scripts_ba += 1
             urls_aa.append(url)
-            hosts_aa.add(host)
             regs_aa.add(tp_domain)
+            scripts_aa += 1
             if category is not ThirdPartyCategory.ADS:
                 continue
 
             caller = tp_domain
             policy = world.policy_of(caller)
             if policy is None:
-                op = PlannedOp(impression_host=host)
                 if not gated:
-                    ops_ba.append(op)
-                ops_aa.append(op)
+                    ops_ba.append(impression)
+                ops_aa.append(impression)
                 continue
             # Decide first, resolve the call shape (two more digests)
             # only for tags that actually fire somewhere.
@@ -304,29 +331,27 @@ class VisitPlanner:
                 conditional_aa = True
             elif aa_fires:
                 urls_aa.append(call.fetch_url)
-                hosts_aa.add(call.fetch_host)
                 regs_aa.add(caller)
-                ops_aa.append(PlannedOp(impression_host=host, call=call))
+                ops_aa.append(share(PlannedOp(impression_host=host, call=call)))
             else:
-                ops_aa.append(PlannedOp(impression_host=host))
+                ops_aa.append(impression)
             if not gated:
                 if ba_fires:
                     urls_ba.append(call.fetch_url)
-                    hosts_ba.add(call.fetch_host)
                     regs_ba.add(caller)
-                    ops_ba.append(PlannedOp(impression_host=host, call=call))
+                    ops_ba.append(share(PlannedOp(impression_host=host, call=call)))
                 else:
-                    ops_ba.append(PlannedOp(impression_host=host))
+                    ops_ba.append(impression)
 
         if rogue is not None:
             if rogue.variant is RogueVariant.ROOT_LIB:
                 lib_url = "https://cdn.adwidgets-lib.com/widget/loader.js"
                 urls_ba.append(lib_url)
                 urls_aa.append(lib_url)
-                hosts_ba.add("cdn.adwidgets-lib.com")
-                hosts_aa.add("cdn.adwidgets-lib.com")
                 regs_ba.add("adwidgets-lib.com")
                 regs_aa.add("adwidgets-lib.com")
+                scripts_ba += 1
+                scripts_aa += 1
                 caller_host = (
                     "cdn.adwidgets-lib.com" if script_url_mode else page_host
                 )
@@ -348,10 +373,12 @@ class VisitPlanner:
                 inner_url = f"https://{frame_host}/embed/inner.js"
                 urls_ba.extend((frame_url, inner_url))
                 urls_aa.extend((frame_url, inner_url))
-                hosts_ba.add(frame_host)
-                hosts_aa.add(frame_host)
                 regs_ba.add(frame_reg)
                 regs_aa.add(frame_reg)
+                # The frame document plus its one inner script.
+                frames = 1
+                scripts_ba += 1
+                scripts_aa += 1
                 # Both script-origin modes resolve to the frame host: the
                 # inner tag's src host equals the frame's.
                 op = PlannedOp(
@@ -368,12 +395,12 @@ class VisitPlanner:
 
         return (
             self._assemble(
-                page_domain, page_url, banner, urls_ba, hosts_ba, regs_ba,
-                ops_ba, False,
+                page_domain, page_url, banner, urls_ba, regs_ba, ops_ba,
+                3 + frames + scripts_ba, scripts_ba, False,
             ),
             self._assemble(
-                page_domain, page_url, banner, urls_aa, hosts_aa, regs_aa,
-                ops_aa, conditional_aa,
+                page_domain, page_url, banner, urls_aa, regs_aa, ops_aa,
+                3 + frames + scripts_aa, scripts_aa, conditional_aa,
             ),
         )
 
@@ -383,36 +410,26 @@ class VisitPlanner:
         page_url: str,
         banner: "ConsentBanner | None",
         urls: list[str],
-        hosts: set[str],
         registrables: set[str],
         ops: list[PlannedOp],
+        fetches: int,
+        scripts_run: int,
         conditional: bool,
     ) -> SitePlan:
         third_parties = set(registrables)
         third_parties.discard(page_domain)
-        cmp_name = self._world.cmps.detect_from_registrables(registrables)
-        cmp_rescan = False
-        if conditional:
-            with_fired = set(registrables)
-            for op in ops:
-                if op.policy is not None and op.call is not None:
-                    with_fired.add(op.caller)
-            cmp_rescan = (
-                self._world.cmps.detect_from_registrables(with_fired) != cmp_name
-            )
         return SitePlan(
             page_domain=page_domain,
             url=page_url,
             final_url=page_url,
             banner=banner,
-            cmp=cmp_name,
+            cmp=self._world.cmps.detect_from_registrables(registrables),
             cache_urls=tuple(dict.fromkeys(urls)),
-            loaded_hosts=frozenset(hosts),
-            third_parties=frozenset(third_parties),
-            third_parties_sorted=tuple(sorted(third_parties)),
+            third_parties_sorted=self._share(tuple(sorted(third_parties))),
             ops=tuple(ops),
+            fetches=fetches,
+            scripts_run=scripts_run,
             conditional=conditional,
-            cmp_rescan=cmp_rescan,
         )
 
     # -- reference builder (page walk) -----------------------------------------
@@ -430,18 +447,23 @@ class VisitPlanner:
         hosts: set[str] = {page.url.host}
         ops: list[PlannedOp] = []
         conditional = False
+        fetches = 1
+        scripts_run = 0
 
         for resource in page.resources:
             if resource.gated and not consent:
                 continue
             urls.append(str(resource.src))
             hosts.add(resource.src.host)
+            fetches += 1
 
         for tag in page.scripts:
             if tag.gated and not consent:
                 continue
             urls.append(str(tag.src))
             hosts.add(tag.src.host)
+            fetches += 1
+            scripts_run += 1
             conditional |= self._plan_script(
                 tag, page_domain, page.url.host, consent, ops, urls, hosts
             )
@@ -451,6 +473,7 @@ class VisitPlanner:
                 continue
             urls.append(str(frame.src))
             hosts.add(frame.src.host)
+            fetches += 1
             if frame.browsingtopics_attr:
                 ops.append(
                     PlannedOp(
@@ -465,39 +488,26 @@ class VisitPlanner:
             for inner in frame.scripts:
                 urls.append(str(inner.src))
                 hosts.add(inner.src.host)
+                fetches += 1
+                scripts_run += 1
                 conditional |= self._plan_script(
                     inner, page_domain, frame.src.host, consent, ops, urls, hosts
                 )
 
         third_parties = {etld_plus_one(host) for host in hosts}
         third_parties.discard(page_domain)
-        cmp_name = world.cmps.detect_from_domains(hosts)
-        cmp_rescan = False
-        if conditional:
-            # A fired conditional call adds its ad host to the visit's
-            # loaded set.  Detection is first-provider-wins, so if adding
-            # ALL conditional hosts leaves the verdict unchanged, any
-            # fired subset does too; otherwise fall back to per-visit
-            # detection (unreachable with the shipped CMP catalogue).
-            with_fired = set(hosts)
-            for op in ops:
-                if op.policy is not None and op.call is not None:
-                    with_fired.add(op.call.fetch_host)
-            cmp_rescan = world.cmps.detect_from_domains(with_fired) != cmp_name
-
         return SitePlan(
             page_domain=page_domain,
             url=str(site.url),
             final_url=str(page.url),
             banner=page.banner,
-            cmp=cmp_name,
+            cmp=world.cmps.detect_from_domains(hosts),
             cache_urls=tuple(dict.fromkeys(urls)),
-            loaded_hosts=frozenset(hosts),
-            third_parties=frozenset(third_parties),
             third_parties_sorted=tuple(sorted(third_parties)),
             ops=tuple(ops),
+            fetches=fetches,
+            scripts_run=scripts_run,
             conditional=conditional,
-            cmp_rescan=cmp_rescan,
         )
 
     def _plan_script(
@@ -553,7 +563,7 @@ class VisitPlanner:
             should_call = policy.calls_in_before_accept(
                 caller_domain,
                 page_domain,
-                self._environment_multiplier(page_domain),
+                consent_environment_multiplier(self._world, page_domain),
             )
         if not should_call:
             ops.append(PlannedOp(impression_host=impression_host))
@@ -570,6 +580,10 @@ class VisitPlanner:
     ) -> PlannedCall:
         call_type = policy.pick_call_type(caller, page_domain)
         count = policy.calls_on_page(caller, page_domain)
+        key = (caller, call_type, count)
+        call = self._calls.get(key)
+        if call is not None:
+            return call
         if call_type is ApiCallType.JAVASCRIPT:
             host = f"frame.{caller}"
             url = f"https://{host}/topics.html"
@@ -579,15 +593,15 @@ class VisitPlanner:
         else:
             host = f"ads.{caller}"
             url = f"https://{host}/render/ad.html"
-        return PlannedCall(
+        call = self._calls[key] = PlannedCall(
             caller_host=host,
             call_type=call_type,
             count=count,
             javascript=call_type is ApiCallType.JAVASCRIPT,
             fetch_url=url,
             fetch_host=host,
-            fetch_registrable=caller,
         )
+        return call
 
     def _plan_infrastructure(
         self,
@@ -616,13 +630,3 @@ class VisitPlanner:
                 )
             )
         )
-
-    def _environment_multiplier(self, page_domain: str) -> float:
-        """Mirror of ScriptRuntime._consent_environment_multiplier."""
-        site = self._world.resolve(page_domain)
-        config = self._world.config
-        if site is None or site.banner is None:
-            return config.questionable_multiplier_no_banner
-        if site.banner.cmp is not None and not site.banner.gates_before_consent:
-            return config.questionable_multiplier_leaky_cmp
-        return config.questionable_multiplier_custom_banner

@@ -49,6 +49,20 @@ class ScriptOriginMode(enum.Enum):
     SCRIPT_URL = "script-url"
 
 
+def consent_environment_multiplier(world: "SyntheticWeb", site_domain: str) -> float:
+    """How the visited site's consent setup modulates pre-consent
+    behaviour: no banner → no consent string, services stay mostly
+    conservative; a leaky CMP mis-signals consent and services trust
+    it; a home-grown non-gating banner sits in between."""
+    site = world.resolve(site_domain)
+    config = world.config
+    if site is None or site.banner is None:
+        return config.questionable_multiplier_no_banner
+    if site.banner.cmp is not None and not site.banner.gates_before_consent:
+        return config.questionable_multiplier_leaky_cmp
+    return config.questionable_multiplier_custom_banner
+
+
 class ScriptRuntime:
     """Executes script tags within browsing contexts."""
 
@@ -121,17 +135,7 @@ class ScriptRuntime:
             self._issue_call(caller_domain, call_type, context, now, log, page_domain)
 
     def _consent_environment_multiplier(self, site_domain: str) -> float:
-        """How the visited site's consent setup modulates pre-consent
-        behaviour: no banner → no consent string, services stay mostly
-        conservative; a leaky CMP mis-signals consent and services trust
-        it; a home-grown non-gating banner sits in between."""
-        site = self._world.resolve(site_domain)
-        config = self._world.config
-        if site is None or site.banner is None:
-            return config.questionable_multiplier_no_banner
-        if site.banner.cmp is not None and not site.banner.gates_before_consent:
-            return config.questionable_multiplier_leaky_cmp
-        return config.questionable_multiplier_custom_banner
+        return consent_environment_multiplier(self._world, site_domain)
 
     def _issue_call(
         self,

@@ -24,7 +24,6 @@ from repro.browser.topics.headers import (
 )
 from repro.browser.topics.manager import BrowsingTopicsSiteDataManager
 from repro.browser.topics.types import ApiCallType, Topic
-from repro.obs import EventKind, NULL_METRICS, NULL_TRACER, MetricsRegistry, Tracer
 from repro.util.timeline import Timestamp
 from repro.util.urls import Url
 
@@ -46,38 +45,8 @@ class FetchWithTopicsResult:
 class TopicsApi:
     """The surface page script interacts with, bound to one manager."""
 
-    def __init__(
-        self,
-        manager: BrowsingTopicsSiteDataManager,
-        tracer: Tracer = NULL_TRACER,
-        metrics: MetricsRegistry = NULL_METRICS,
-    ) -> None:
+    def __init__(self, manager: BrowsingTopicsSiteDataManager) -> None:
         self._manager = manager
-        self._tracer = tracer
-        self._metrics = metrics
-
-    def _instrument_last_call(self, caller_context: str) -> None:
-        """Trace the call the manager just logged, with its classification."""
-        if not (self._tracer.enabled or self._metrics.enabled):
-            return
-        call = self._manager.last_call
-        self._metrics.counter(
-            "topics_calls_total",
-            type=call.call_type.value,
-            decision=call.decision.value,
-        )
-        self._tracer.emit(
-            EventKind.TOPICS_CALL,
-            at=call.at,
-            caller=call.caller,
-            caller_host=call.caller_host,
-            site=call.site,
-            call_type=call.call_type.value,
-            caller_context=caller_context,
-            decision=call.decision.value,
-            allowed=call.allowed,
-            topics_returned=call.topics_returned,
-        )
 
     def document_browsing_topics(
         self,
@@ -98,7 +67,6 @@ class TopicsApi:
             now=now,
             observe=not skip_observation,
         )
-        self._instrument_last_call(caller_context=f"js:{origin.host}")
         return topics
 
     def fetch_with_topics(
@@ -124,7 +92,6 @@ class TopicsApi:
             now=now,
             observe=False,
         )
-        self._instrument_last_call(caller_context=f"fetch:{url.host}")
         observed = False
         if observe_requested(response_observe_header) and self._manager.last_call.allowed:
             self._manager.record_caller_observation(
@@ -154,7 +121,6 @@ class TopicsApi:
             now=now,
             observe=False,
         )
-        self._instrument_last_call(caller_context=f"iframe:{src.host}")
         if observe_requested(response_observe_header) and self._manager.last_call.allowed:
             self._manager.record_caller_observation(
                 src.host, parent.top_frame_site, now

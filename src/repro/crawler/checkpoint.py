@@ -123,14 +123,12 @@ class ShardCheckpoint:
                 sort_keys=True,
             ),
         ]
+        # Spliced by hand: the record's own canonical JSON is already what
+        # ``json.dumps({"dataset": …, "record": …}, sort_keys=True)`` would
+        # re-encode it to, so each row is encoded once.
         for name, dataset in (("ba", self.d_ba), ("aa", self.d_aa)):
             for record in dataset:
-                lines.append(
-                    json.dumps(
-                        {"dataset": name, "record": json.loads(record.to_json())},
-                        sort_keys=True,
-                    )
-                )
+                lines.append(f'{{"dataset": "{name}", "record": {record.to_json()}}}')
         return lines
 
     @classmethod
@@ -148,7 +146,7 @@ class ShardCheckpoint:
                     continue
                 payload = json.loads(line)
                 records[payload["dataset"]].append(
-                    VisitRecord.from_json(json.dumps(payload["record"]))
+                    VisitRecord.from_dict(payload["record"])
                 )
         except (KeyError, TypeError, json.JSONDecodeError) as exc:
             raise CheckpointError(f"{source}: malformed checkpoint: {exc}") from exc

@@ -93,14 +93,16 @@ class VisitRecord:
         return bool(self.calls)
 
     def to_json(self) -> str:
-        payload = asdict(self)
-        payload["third_parties"] = list(self.third_parties)
-        payload["calls"] = [asdict(call) for call in self.calls]
-        return json.dumps(payload, sort_keys=True)
+        # asdict recurses into the calls; json writes tuples as arrays.
+        return json.dumps(asdict(self), sort_keys=True)
 
     @classmethod
     def from_json(cls, line: str) -> "VisitRecord":
-        payload = json.loads(line)
+        return cls.from_dict(json.loads(line))
+
+    @classmethod
+    def from_dict(cls, payload: dict) -> "VisitRecord":
+        """Rebuild a record from its decoded JSON object (consumed)."""
         payload["third_parties"] = tuple(payload["third_parties"])
         payload["calls"] = tuple(
             CallRecord(**call) for call in payload["calls"]

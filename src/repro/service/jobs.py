@@ -220,6 +220,8 @@ class JobSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "JobSpec":
+        if not isinstance(data, dict):
+            raise JobSpecError("job spec must be a JSON object")
         unknown = set(data) - _SPEC_FIELDS
         if unknown:
             raise JobSpecError(

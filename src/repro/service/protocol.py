@@ -17,8 +17,10 @@ One request per connection, one JSON object per line:
   subscription discarded events since the last notice — lost data is
   always visible, never silent.
 
-Errors come back as ``{"ok": false, "error": "..."}``; a malformed line
-never kills the server.
+Errors come back as ``{"ok": false, "error": "..."}``: a line that is
+not JSON, not a JSON object, longer than :data:`MAX_REQUEST_BYTES`, or
+carries mistyped fields gets exactly one error line, never a traceback,
+and never kills the server.
 
 Backpressure end-to-end: ``watch`` writes are followed by
 ``writer.drain()``, so a consumer that stops reading fills the socket
@@ -71,8 +73,10 @@ class ServiceServer:
         self._socket_path.parent.mkdir(parents=True, exist_ok=True)
         if self._socket_path.exists():
             self._socket_path.unlink()
+        # The reader's line limit must admit every request the protocol
+        # accepts; the default (64 KiB) would reject valid ones first.
         self._server = await asyncio.start_unix_server(
-            self._handle, path=str(self._socket_path)
+            self._handle, path=str(self._socket_path), limit=MAX_REQUEST_BYTES
         )
 
     async def serve_until_shutdown(self) -> None:
@@ -100,17 +104,25 @@ class ServiceServer:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         try:
-            line = await reader.readline()
-            if not line:
-                return
-            if len(line) > MAX_REQUEST_BYTES:
+            try:
+                line = await reader.readline()
+            except ValueError:  # no newline within the reader's limit
+                line = None
+            if line is None or len(line) > MAX_REQUEST_BYTES:
                 await self._send(writer, {"ok": False, "error": "request too large"})
+                return
+            if not line:
                 return
             try:
                 request = json.loads(line)
             except json.JSONDecodeError as exc:
                 await self._send(
                     writer, {"ok": False, "error": f"bad JSON: {exc}"}
+                )
+                return
+            if not isinstance(request, dict):
+                await self._send(
+                    writer, {"ok": False, "error": "request must be a JSON object"}
                 )
                 return
             await self._dispatch(request, writer)
@@ -173,7 +185,7 @@ class ServiceServer:
                 await self._send(
                     writer, {"ok": False, "error": f"unknown op: {op!r}"}
                 )
-        except (JobSpecError, KeyError, ValueError) as exc:
+        except (JobSpecError, KeyError, TypeError, ValueError) as exc:
             message = str(exc) if str(exc) else repr(exc)
             await self._send(writer, {"ok": False, "error": message})
 

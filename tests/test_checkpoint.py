@@ -8,12 +8,13 @@ kill-and-resume story end to end.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
 
 from repro.browser.browser import Browser, state_digest_of
-from repro.crawler.campaign import CrawlReport
+from repro.crawler.campaign import CrawlCampaign, CrawlReport
 from repro.crawler.checkpoint import (
     CHECKPOINT_FORMAT_VERSION,
     CheckpointError,
@@ -108,9 +109,27 @@ class TestBrowserStateSnapshot:
 
 class TestShardCheckpointFormat:
     def test_lines_round_trip(self, tiny_world):
-        checkpoint = _checkpoint_for(_browser_after_visits(tiny_world, 10))
-        restored = ShardCheckpoint.from_lines(checkpoint.to_lines())
+        crawl = CrawlCampaign(tiny_world, corrupt_allowlist=True, limit=60).run()
+        checkpoint = dataclasses.replace(
+            _checkpoint_for(_browser_after_visits(tiny_world, 10)),
+            d_ba=tuple(crawl.d_ba.records),
+            d_aa=tuple(crawl.d_aa.records),
+        )
+        lines = checkpoint.to_lines()
+        restored = ShardCheckpoint.from_lines(lines)
         assert restored == checkpoint
+
+        # Row lines are byte-identical to re-encoding each record nested.
+        nested = [
+            json.dumps(
+                {"dataset": name, "record": json.loads(record.to_json())},
+                sort_keys=True,
+            )
+            for name, dataset in (("ba", checkpoint.d_ba), ("aa", checkpoint.d_aa))
+            for record in dataset
+        ]
+        assert any(record.calls for record in checkpoint.d_ba + checkpoint.d_aa)
+        assert lines[4:] == nested
 
     def test_truncated_file_rejected(self, tiny_world):
         checkpoint = _checkpoint_for(_browser_after_visits(tiny_world, 10))

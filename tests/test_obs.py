@@ -1,5 +1,7 @@
 """Unit tests for the observability layer: tracer, metrics, round-trips."""
 
+import hashlib
+
 import pytest
 
 from repro.analysis.obs_report import (
@@ -18,6 +20,7 @@ from repro.obs import (
     NullTracer,
     Tracer,
 )
+from repro.cli import main
 from repro.obs.metrics import format_series
 
 
@@ -468,3 +471,46 @@ class TestExposition:
         from repro.obs import MetricsRegistry, render_exposition
 
         assert render_exposition(MetricsRegistry().snapshot()) == ""
+
+
+class TestCrawlTelemetryBytes:
+    """The trace, metrics and span files of a seeded crawl are pinned.
+
+    Their bytes are a deterministic function of the world and the
+    visit protocol; a change here is a telemetry format change and must
+    be declared as one.  The digests were recorded from
+    ``python -m repro crawl --sites 200 --seed 1`` with all three
+    outputs on.
+    """
+
+    DIGESTS = {
+        "trace.jsonl": (
+            "1111b150e2c1f7071be4a64044910941b7c376d5760725ab1b42c9eb8bac441b"
+        ),
+        "metrics.json": (
+            "03bf1300261ed4b30940cc924c5c0d8de97663b4ac91bb58b458099b10436d14"
+        ),
+        "spans.jsonl": (
+            "332c6ff8adfd7c7e6b58adaa447a248cb13e76ed7076b3e411f73f89de9a8bdc"
+        ),
+    }
+
+    def test_crawl_telemetry_bytes_pinned(self, tmp_path, capsys):
+        code = main(
+            [
+                "crawl",
+                "--sites", "200",
+                "--seed", "1",
+                "--out", str(tmp_path / "archive"),
+                "--trace-out", str(tmp_path / "trace.jsonl"),
+                "--metrics-out", str(tmp_path / "metrics.json"),
+                "--span-out", str(tmp_path / "spans.jsonl"),
+            ]
+        )
+        capsys.readouterr()
+        assert code == 0
+        digests = {
+            name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in self.DIGESTS
+        }
+        assert digests == self.DIGESTS

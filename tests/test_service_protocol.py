@@ -9,6 +9,8 @@ would.
 from __future__ import annotations
 
 import asyncio
+import json
+import socket
 import threading
 from pathlib import Path
 
@@ -20,6 +22,7 @@ from repro.service import (
     ServiceClientError,
     ServiceServer,
 )
+from repro.service.protocol import MAX_REQUEST_BYTES
 
 SITES = 90
 SPEC = {"sites": SITES, "seed": 2, "shards": 2, "checkpoint_every": 20}
@@ -137,6 +140,29 @@ class TestRoundTrips:
             client._request({"op": "frobnicate"})
         with pytest.raises(ServiceClientError, match="policy"):
             list(client.watch("job-000001", policy="mystery"))
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            b"[1,2]",
+            b'"x"',
+            b'{"op":"submit","spec":[1]}',
+            b'{"op":"watch","job_id":"j","since":[1]}',
+            b'{"op":"frobnicate","pad":"' + b"x" * 100_000 + b'"}',
+            b"x" * (MAX_REQUEST_BYTES + 1000),
+        ],
+        ids=["array", "string", "spec-array", "since-array", "100k", "over-limit"],
+    )
+    def test_malformed_request_gets_one_error_line(self, harness, payload):
+        with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
+            sock.settimeout(30)
+            sock.connect(str(harness.socket_path))
+            sock.sendall(payload + b"\n")
+            with sock.makefile("rb") as stream:
+                lines = stream.readlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["ok"] is False
+        assert ServiceClient(harness.socket_path).ping()
 
     def test_cancel_over_the_socket(self, harness):
         client = ServiceClient(harness.socket_path)
