@@ -171,6 +171,7 @@ examples:
 	$(PY) examples/longitudinal_monitor.py 3000
 	$(PY) examples/ad_targeting.py 40
 	$(PY) examples/full_study.py 3000
+	$(PY) examples/trace_crawl.py 2000
 	$(PY) examples/profile_crawl.py 2000
 
 clean:

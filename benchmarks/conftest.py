@@ -22,8 +22,6 @@ SCALE = BENCH_SITES / 50_000
 
 
 def bench_config(seed: int = 1) -> WorldConfig:
-    if BENCH_SITES >= 50_000:
-        return WorldConfig(seed=seed)
     return WorldConfig.small(BENCH_SITES, seed=seed)
 
 

@@ -170,13 +170,6 @@ class VisitPlanner:
     def _compile_pair(self, domain: str) -> tuple[SitePlan, SitePlan]:
         world = self._world
         site = world.site(domain)
-        if "build_page" in vars(site) or (
-            site.redirect_to is not None
-            and "build_page" in vars(world.site(site.redirect_to))
-        ):
-            # The site carries a hand-patched page builder (test worlds
-            # splice these in); only the page walk can see what it adds.
-            return (self._build(domain, False), self._build(domain, True))
         if site.redirect_to is not None:
             final = world.site(site.redirect_to)
             if final.redirect_to is None:

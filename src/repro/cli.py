@@ -54,10 +54,7 @@ from repro.web.vantage import vantage_by_name
 
 
 def _world_config(args: argparse.Namespace) -> WorldConfig:
-    if args.sites >= 50_000:
-        config = WorldConfig(seed=args.seed)
-    else:
-        config = WorldConfig.small(args.sites, seed=args.seed)
+    config = WorldConfig.small(args.sites, seed=args.seed)
     config.vantage = vantage_by_name(getattr(args, "vantage", "eu"))
     return config
 

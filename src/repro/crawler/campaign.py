@@ -116,7 +116,6 @@ class CrawlCampaign:
         corrupt_allowlist: bool = True,
         user_seed: int = 0,
         limit: int | None = None,
-        progress: Callable[[int, int], None] | None = None,
         script_origin_mode: ScriptOriginMode = ScriptOriginMode.EMBEDDER,
         retries: int = 0,
         tracer: Tracer = NULL_TRACER,
@@ -140,7 +139,6 @@ class CrawlCampaign:
         self._corrupt_allowlist = corrupt_allowlist
         self._user_seed = user_seed
         self._limit = limit
-        self._progress = progress
         self._script_origin_mode = script_origin_mode
         self._retries = retries
         self._privaccept = PrivAccept()
@@ -238,8 +236,6 @@ class CrawlCampaign:
                 # Already durable in the resumed checkpoint: the restored
                 # browser state carries these visits' full side effects.
                 continue
-            if self._progress is not None and position % 1000 == 0:
-                self._progress(position, total)
             if self._fault_hook is not None:
                 self._fault_hook(position, domain)
 

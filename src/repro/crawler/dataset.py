@@ -137,14 +137,6 @@ class Dataset:
         for record in records:
             self.add(record)
 
-    @classmethod
-    def from_buffers(cls, name: str, buffers: VisitBuffers) -> "Dataset":
-        """Wrap already-built columns (the shard-result ingest path)."""
-        dataset = cls(name)
-        dataset._buffers = buffers
-        dataset._memo = [None] * len(buffers)
-        return dataset
-
     @property
     def buffers(self) -> VisitBuffers:
         """The underlying columns (shared, not copied)."""
@@ -191,13 +183,11 @@ class Dataset:
         self._memo.append(None)
         self._domain_rows = None
 
-    def extend_rebased(self, other: "Dataset", rank_offset: int) -> None:
-        """Splice another dataset's columns in, rebasing ranks (shard merge)."""
-        self._buffers.extend(other._buffers, rank_offset)
-        if rank_offset:
-            self._memo.extend([None] * len(other._buffers))
-        else:
-            self._memo.extend(other._memo)
+    def extend_rebased(self, buffers: VisitBuffers, rank_offset: int) -> None:
+        """Splice a shard's columns in, rebasing ranks (shard merge)."""
+        self._buffers.extend(buffers, rank_offset)
+        self._memo.extend([None] * len(buffers))
+        self._domain_rows = None
         self._domain_rows = None
 
     def _record_at(self, index: int) -> VisitRecord:

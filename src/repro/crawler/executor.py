@@ -14,20 +14,19 @@ Shards run on one of the two strategies in :mod:`repro.util.executor`:
 * ``process`` — one worker **process** per shard, for multi-core
   parallelism.
 
-Because worker processes share nothing, the process backend needs every
-shard input to be picklable and every shard output to travel back as
-plain data:
+Either way a shard is described by one picklable :class:`ShardTask`
+and finishes as one plain-data :class:`ShardResult`:
 
 * a :class:`ShardTask` carries the shard's :class:`ShardPlan` (rank
-  slice), the campaign knobs, and a :class:`WorldSpec` — the
-  :class:`~repro.web.config.WorldConfig` plus a fingerprint of the
-  ranking.  The worker **reconstructs the world from the deterministic
-  generator** and verifies the fingerprint, so a shard can never
-  silently crawl a different world than its parent planned;
-* a :class:`ShardResult` carries the visit records, report counters,
-  trace events, metrics snapshot and span tree back to the parent,
-  which rehydrates them into the same :class:`ShardExecution` an
-  in-process shard produces — one merge implementation, zero drift.
+  slice) and the campaign knobs.  A process task also carries a
+  :class:`WorldSpec` — the :class:`~repro.web.config.WorldConfig` plus a
+  fingerprint of the ranking.  The worker **reconstructs the world from
+  the deterministic generator** and verifies the fingerprint, so a shard
+  can never silently crawl a different world than its parent planned;
+* a :class:`ShardResult` carries the visit columns, report counters,
+  trace events, metrics snapshot and span tree.  A serial shard returns
+  it directly and a process worker pickles it back, so the merge reads
+  one record shape on both backends.
 
 Reconstructed worlds are cached per worker process (keyed by
 fingerprint) and worker pools are reused across runs, so repeated
@@ -40,14 +39,12 @@ pin this, including resumed-after-crash process runs.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
-from repro.crawler.campaign import CrawlCampaign, CrawlReport, CrawlResult
+from repro.crawler.campaign import CrawlCampaign, CrawlReport
 from repro.crawler.checkpoint import CheckpointStore, RetryPolicy
 from repro.crawler.columnar import VisitBuffers
-from repro.crawler.dataset import Dataset
-from repro.crawler.wellknown import AttestationSurvey
 from repro.obs import (
     EventKind,
     MetricsRegistry,
@@ -61,6 +58,7 @@ from repro.obs import (
     Tracer,
 )
 from repro.obs.spans import SPAN_SHARD, SPAN_SHARD_RETRY
+from repro.util.executor import contiguous_slices
 from repro.util.text import stable_digest
 from repro.web.tranco import TrancoList
 
@@ -96,20 +94,12 @@ def plan_shards(tranco: TrancoList, shard_count: int) -> list[ShardPlan]:
     if shard_count <= 0:
         raise ValueError("shard_count must be positive")
     domains = tranco.domains
-    base, remainder = divmod(len(domains), shard_count)
-    plans: list[ShardPlan] = []
-    start = 0
-    for index in range(shard_count):
-        size = base + (1 if index < remainder else 0)
-        plans.append(
-            ShardPlan(
-                shard_index=index,
-                domains=domains[start : start + size],
-                rank_offset=start,
-            )
+    return [
+        ShardPlan(shard_index=index, domains=domains[start:stop], rank_offset=start)
+        for index, (start, stop) in enumerate(
+            contiguous_slices(len(domains), shard_count)
         )
-        start += size
-    return [plan for plan in plans if plan.domains]
+    ]
 
 
 def effective_shard_count(
@@ -152,17 +142,7 @@ class _ShardView:
         return getattr(self._world, name)
 
 
-# -- shard outcomes ------------------------------------------------------------
-
-
-@dataclass
-class ShardOutcome:
-    """One shard's result plus its private instrumentation."""
-
-    result: CrawlResult
-    tracer: Tracer
-    metrics: MetricsRegistry
-    spans: SpanRecorder = NULL_RECORDER
+# -- shard task and result -----------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -176,18 +156,55 @@ class ShardRetryRecord:
     error: str
 
 
-@dataclass
-class ShardExecution:
-    """A shard's full outcome: success, or a degraded shard that gave up.
+@dataclass(frozen=True)
+class ShardTask:
+    """A shard's complete, picklable execution order.
 
-    ``outcome`` is ``None`` only for a shard that exhausted its retries
-    under ``allow_partial``; :class:`ResumableCrawl` then merges its
-    durable prefix.
+    ``checkpoint_dir`` is ``None`` for a campaign that writes no
+    checkpoints; the shard then runs without a store.  ``spec`` is set
+    only for process workers, which rebuild the world from it.
     """
 
     plan: ShardPlan
-    outcome: ShardOutcome | None
-    retries: list[ShardRetryRecord] = field(default_factory=list)
+    checkpoint_dir: str | None
+    checkpoint_every: int
+    resume: bool
+    corrupt_allowlist: bool
+    policy: RetryPolicy
+    allow_partial: bool
+    fault_injector: FaultInjector | None  # picklable for process workers
+    trace: bool
+    metrics: bool
+    spans: bool
+    spec: WorldSpec | None = None
+
+
+@dataclass(frozen=True)
+class ShardResult:
+    """A finished shard as plain, picklable data — on every backend.
+
+    Datasets travel as flat :class:`VisitBuffers` columns rather than
+    record-object trees: a worker's result pickles as a handful of
+    primitive arrays/lists, and the merge ingests them without ever
+    materialising per-visit objects.
+
+    A degraded shard (retries exhausted under ``allow_partial``) has
+    ``failure`` set, no ``report`` and empty columns; the merge fills in
+    its durable prefix.  ``events``/``metrics``/``spans`` are ``None``
+    when the corresponding instrumentation was disabled for the run.
+    Trace events keep their shard-local order (the merge's
+    ``(at, shard, seq)`` sort only needs relative order within a shard);
+    spans keep their shard-local ids so the merge's parent remapping
+    works on them directly.
+    """
+
+    d_ba: VisitBuffers
+    d_aa: VisitBuffers
+    report: CrawlReport | None
+    events: tuple[TraceEvent, ...] | None
+    metrics: MetricsSnapshot | None
+    spans: tuple[Span, ...] | None
+    retries: tuple[ShardRetryRecord, ...] = ()
     resumed_from: int | None = None  # on-disk checkpoint the first attempt used
     failure: str | None = None
 
@@ -217,60 +234,48 @@ class ShardFailedError(RuntimeError):
 
 def execute_shard(
     world: "SyntheticWeb",
-    plan: ShardPlan,
-    *,
-    store: CheckpointStore | None,
-    checkpoint_every: int,
-    resume: bool,
-    corrupt_allowlist: bool,
-    policy: RetryPolicy,
-    allow_partial: bool,
-    fault_injector: FaultInjector | None = None,
-    trace: bool,
-    metrics: bool,
-    spans: bool,
+    task: ShardTask,
     span_listener: Callable[[Span], None] | None = None,
-) -> ShardExecution:
+) -> ShardResult:
     """Run one shard to completion, retrying from its checkpoints.
 
-    Without a ``store`` nothing is written and a retry starts the shard
-    over.  Raises :class:`ShardFailedError` once the retry budget is
-    exhausted unless ``allow_partial`` — then the durable prefix is
-    reported as a degraded :class:`ShardExecution` with ``outcome=None``.
+    Without a checkpoint directory nothing is written and a retry starts
+    the shard over.  Raises :class:`ShardFailedError` once the retry
+    budget is exhausted unless ``allow_partial`` — then the shard is
+    reported as a degraded :class:`ShardResult` with ``failure`` set.
+    ``span_listener`` observes the shard's spans live as they complete.
     """
-    failures = 0
+    plan = task.plan
+    store = (
+        CheckpointStore(task.checkpoint_dir)
+        if task.checkpoint_dir is not None
+        else None
+    )
     retries: list[ShardRetryRecord] = []
     initial_resume: int | None = None
     while True:
         checkpoint = None
-        if store is not None and (resume or failures > 0):
+        if store is not None and (task.resume or retries):
             checkpoint = store.latest(plan.shard_index)
-        if failures == 0 and checkpoint is not None:
+        if not retries and checkpoint is not None:
             initial_resume = checkpoint.visits_done
-        attempt = failures + 1
         try:
-            outcome = _attempt_shard(
-                world,
-                plan,
-                checkpoint,
-                attempt,
-                store=store,
-                checkpoint_every=checkpoint_every,
-                corrupt_allowlist=corrupt_allowlist,
-                fault_injector=fault_injector,
-                trace=trace,
-                metrics=metrics,
-                spans=spans,
-                span_listener=span_listener,
+            return _attempt_shard(
+                world, task, store, checkpoint, retries, initial_resume,
+                span_listener,
             )
         except Exception as exc:  # noqa: BLE001 — any shard death is retryable
-            failures += 1
-            if failures > policy.max_retries:
-                if allow_partial:
-                    return ShardExecution(
-                        plan=plan,
-                        outcome=None,
-                        retries=retries,
+            failures = len(retries) + 1
+            if failures > task.policy.max_retries:
+                if task.allow_partial:
+                    return ShardResult(
+                        d_ba=VisitBuffers(),
+                        d_aa=VisitBuffers(),
+                        report=None,
+                        events=None,
+                        metrics=None,
+                        spans=None,
+                        retries=tuple(retries),
                         resumed_from=initial_resume,
                         failure=repr(exc),
                     )
@@ -284,7 +289,7 @@ def execute_shard(
                 ShardRetryRecord(
                     shard_index=plan.shard_index,
                     attempt=failures,
-                    backoff_seconds=policy.backoff_seconds(failures),
+                    backoff_seconds=task.policy.backoff_seconds(failures),
                     resumed_from=(
                         resumed_from.visits_done
                         if resumed_from is not None
@@ -293,31 +298,17 @@ def execute_shard(
                     error=repr(exc),
                 )
             )
-            continue
-        _record_shard_recovery(outcome, retries)
-        return ShardExecution(
-            plan=plan,
-            outcome=outcome,
-            retries=retries,
-            resumed_from=initial_resume,
-        )
 
 
 def _attempt_shard(
     world: "SyntheticWeb",
-    plan: ShardPlan,
-    checkpoint,
-    attempt: int,
-    *,
+    task: ShardTask,
     store: CheckpointStore | None,
-    checkpoint_every: int,
-    corrupt_allowlist: bool,
-    fault_injector: FaultInjector | None,
-    trace: bool,
-    metrics: bool,
-    spans: bool,
+    checkpoint,
+    retries: list[ShardRetryRecord],
+    initial_resume: int | None,
     span_listener: Callable[[Span], None] | None,
-) -> ShardOutcome:
+) -> ShardResult:
     """One execution attempt of a shard, with fresh private instrumentation.
 
     Each shard records into its own tracer/metrics/spans so the merge can
@@ -325,14 +316,16 @@ def _attempt_shard(
     recorder's listener so a live progress line keeps updating (process
     workers deliver their spans when the shard completes instead).
     """
-    tracer = Tracer() if trace else NULL_TRACER
-    registry = MetricsRegistry() if metrics else NULL_METRICS
+    plan = task.plan
+    attempt = len(retries) + 1
+    tracer = Tracer() if task.trace else NULL_TRACER
+    registry = MetricsRegistry() if task.metrics else NULL_METRICS
     recorder = (
         SpanRecorder(
             common_fields={"shard": plan.shard_index},
             listener=span_listener,
         )
-        if spans
+        if task.spans
         else NULL_RECORDER
     )
     tracer.emit(
@@ -345,14 +338,14 @@ def _attempt_shard(
         resumed_from=checkpoint.visits_done if checkpoint is not None else 0,
     )
     fault_hook = None
-    if fault_injector is not None:
-        fault_hook = fault_injector(plan.shard_index, attempt)
+    if task.fault_injector is not None:
+        fault_hook = task.fault_injector(plan.shard_index, attempt)
     # A private ranking restores the shard's global ranks via the
     # campaign's enumerate; ranks are rebased during the merge.
     shard_world = _ShardView(world, TrancoList(plan.domains))
-    campaign = CrawlCampaign(
+    result = CrawlCampaign(
         shard_world,  # type: ignore[arg-type]  # structural stand-in
-        corrupt_allowlist=corrupt_allowlist,
+        corrupt_allowlist=task.corrupt_allowlist,
         user_seed=plan.shard_index,
         tracer=tracer,
         metrics=registry,
@@ -361,17 +354,29 @@ def _attempt_shard(
         survey=False,
         shard_index=plan.shard_index,
         checkpoint_store=store,
-        checkpoint_every=checkpoint_every,
+        checkpoint_every=task.checkpoint_every,
         resume_from=checkpoint,
         fault_hook=fault_hook,
-    )
-    return ShardOutcome(
-        result=campaign.run(), tracer=tracer, metrics=registry, spans=recorder
+    ).run()
+    _record_shard_recovery(result.report, retries, tracer, registry, recorder)
+    return ShardResult(
+        d_ba=result.d_ba.buffers,
+        d_aa=result.d_aa.buffers,
+        report=result.report,
+        events=tuple(tracer) if tracer.enabled else None,
+        metrics=registry.snapshot() if registry.enabled else None,
+        spans=tuple(recorder.spans()) if recorder.enabled else None,
+        retries=tuple(retries),
+        resumed_from=initial_resume,
     )
 
 
 def _record_shard_recovery(
-    outcome: ShardOutcome, retries: list[ShardRetryRecord]
+    report: CrawlReport,
+    retries: list[ShardRetryRecord],
+    tracer: Tracer,
+    registry: MetricsRegistry,
+    recorder: SpanRecorder,
 ) -> None:
     """Stamp a recovered shard's retries into its own instrumentation.
 
@@ -380,24 +385,22 @@ def _record_shard_recovery(
     deterministically.
     """
     for retry in retries:
-        outcome.metrics.counter("shard_retries_total")
-        outcome.metrics.counter(
-            "shard_backoff_seconds_total", retry.backoff_seconds
-        )
-        outcome.tracer.emit(
+        registry.counter("shard_retries_total")
+        registry.counter("shard_backoff_seconds_total", retry.backoff_seconds)
+        tracer.emit(
             EventKind.SHARD_RETRIED,
-            at=outcome.result.report.started_at,
+            at=report.started_at,
             shard=retry.shard_index,
             attempt=retry.attempt,
             backoff_seconds=retry.backoff_seconds,
             resumed_from=retry.resumed_from,
             error=retry.error,
         )
-        if outcome.spans.enabled:
+        if recorder.enabled:
             # The backoff interval sits on the retry timeline anchored
             # at the checkpoint the retry restarted from.
-            start = float(outcome.result.report.started_at)
-            outcome.spans.record(
+            start = float(report.started_at)
+            recorder.record(
                 SPAN_SHARD_RETRY,
                 start,
                 start + retry.backoff_seconds,
@@ -452,8 +455,13 @@ class WorldSpec:
 _WORKER_WORLD: tuple[str, "SyntheticWeb"] | None = None
 
 
-def _world_for(spec: WorldSpec) -> "SyntheticWeb":
-    """The worker-side world for ``spec``, rebuilt and verified on miss."""
+def worker_world(spec: WorldSpec) -> "SyntheticWeb":
+    """The worker-side world for ``spec``, rebuilt and verified on miss.
+
+    Shard tasks and the scenario sweep engine's cell tasks share this
+    single-slot per-worker cache, so tasks over one world configuration
+    pay the generator once per worker process.
+    """
     global _WORKER_WORLD
     if _WORKER_WORLD is not None and _WORKER_WORLD[0] == spec.fingerprint:
         return _WORKER_WORLD[1]
@@ -472,159 +480,6 @@ def _world_for(spec: WorldSpec) -> "SyntheticWeb":
     return world
 
 
-def worker_world(spec: WorldSpec) -> "SyntheticWeb":
-    """Public worker-side world lookup for other task runners.
-
-    The scenario sweep engine's cell tasks rebuild their base worlds
-    through the same single-slot per-worker cache shard tasks use, so
-    cells sharing a world configuration pay the generator once per
-    worker process.
-    """
-    return _world_for(spec)
-
-
-# -- picklable shard task / result ---------------------------------------------
-
-
-@dataclass(frozen=True)
-class ShardTask:
-    """A shard's complete, picklable execution order for a worker process.
-
-    ``checkpoint_dir`` is ``None`` for a campaign that writes no
-    checkpoints; the worker then runs the shard without a store.
-    """
-
-    spec: WorldSpec
-    plan: ShardPlan
-    checkpoint_dir: str | None
-    checkpoint_every: int
-    resume: bool
-    corrupt_allowlist: bool
-    policy: RetryPolicy
-    allow_partial: bool
-    fault_injector: object | None  # must be picklable when set
-    trace: bool
-    metrics: bool
-    spans: bool
-
-
-@dataclass(frozen=True)
-class ShardResult:
-    """A shard's outcome as plain, picklable data.
-
-    Datasets travel as flat :class:`VisitBuffers` columns rather than
-    record-object trees: a worker's result pickles as a handful of
-    primitive arrays/lists, and the parent ingests them without ever
-    materialising per-visit objects.
-
-    ``report`` is ``None`` for a degraded shard.  ``events``/``metrics``/
-    ``spans`` are ``None`` when the corresponding instrumentation was
-    disabled for the run.  Trace events keep their shard-local order (the
-    merge's ``(at, shard, seq)`` sort only needs relative order within a
-    shard); spans keep their original ids so the merge's parent remapping
-    is unchanged.
-    """
-
-    shard_index: int
-    d_ba: VisitBuffers
-    d_aa: VisitBuffers
-    report: CrawlReport | None
-    allowed_domains: frozenset[str]
-    events: tuple[TraceEvent, ...] | None
-    metrics: MetricsSnapshot | None
-    spans: tuple[Span, ...] | None
-    retries: tuple[ShardRetryRecord, ...] = ()
-    resumed_from: int | None = None
-    failure: str | None = None
-
-    @classmethod
-    def of(cls, execution: ShardExecution) -> "ShardResult":
-        """Flatten an in-memory shard execution into its transport."""
-        index = execution.plan.shard_index
-        retries = tuple(execution.retries)
-        outcome = execution.outcome
-        if outcome is None:
-            return cls(
-                shard_index=index,
-                d_ba=VisitBuffers(),
-                d_aa=VisitBuffers(),
-                report=None,
-                allowed_domains=frozenset(),
-                events=None,
-                metrics=None,
-                spans=None,
-                retries=retries,
-                resumed_from=execution.resumed_from,
-                failure=execution.failure,
-            )
-        result = outcome.result
-        return cls(
-            shard_index=index,
-            d_ba=result.d_ba.buffers,
-            d_aa=result.d_aa.buffers,
-            report=result.report,
-            allowed_domains=result.allowed_domains,
-            events=tuple(outcome.tracer) if outcome.tracer.enabled else None,
-            metrics=outcome.metrics.snapshot() if outcome.metrics.enabled else None,
-            spans=tuple(outcome.spans.spans()) if outcome.spans.enabled else None,
-            retries=retries,
-            resumed_from=execution.resumed_from,
-        )
-
-    def execution(
-        self,
-        plan: ShardPlan,
-        *,
-        span_listener: Callable[[Span], None] | None = None,
-    ) -> ShardExecution:
-        """Rehydrate a worker's result into the in-process shapes.
-
-        The reconstructed tracer/metrics/spans are indistinguishable from
-        an in-process shard's as far as the merge is concerned.
-        ``span_listener`` (the campaign recorder's live listener) fires
-        once per rehydrated span, so progress reporting still observes
-        every span — batched at shard completion rather than live.
-        """
-        execution = ShardExecution(
-            plan=plan,
-            outcome=None,
-            retries=list(self.retries),
-            resumed_from=self.resumed_from,
-            failure=self.failure,
-        )
-        if self.report is None:
-            return execution
-        tracer: Tracer = NULL_TRACER
-        if self.events is not None:
-            tracer = Tracer()
-            tracer.replay(self.events)
-        registry: MetricsRegistry = NULL_METRICS
-        if self.metrics is not None:
-            registry = MetricsRegistry()
-            registry.absorb(self.metrics)
-        recorder: SpanRecorder = NULL_RECORDER
-        if self.spans is not None:
-            recorder = SpanRecorder.from_spans(
-                self.spans, common_fields={"shard": self.shard_index}
-            )
-            if span_listener is not None:
-                for span in self.spans:
-                    span_listener(span)
-        execution.outcome = ShardOutcome(
-            result=CrawlResult(
-                d_ba=Dataset.from_buffers("D_BA", self.d_ba),
-                d_aa=Dataset.from_buffers("D_AA", self.d_aa),
-                report=self.report,
-                allowed_domains=self.allowed_domains,
-                survey=AttestationSurvey(()),
-            ),
-            tracer=tracer,
-            metrics=registry,
-            spans=recorder,
-        )
-        return execution
-
-
 def run_shard_task(task: ShardTask) -> ShardResult:
     """Worker-process entry point: rebuild the world, run the shard.
 
@@ -634,25 +489,7 @@ def run_shard_task(task: ShardTask) -> ShardResult:
     :class:`CheckpointStore` on the shared directory — checkpoint files
     are per-shard, and the manifest update takes a cross-process lock.
     """
-    execution = execute_shard(
-        _world_for(task.spec),
-        task.plan,
-        store=(
-            CheckpointStore(task.checkpoint_dir)
-            if task.checkpoint_dir is not None
-            else None
-        ),
-        checkpoint_every=task.checkpoint_every,
-        resume=task.resume,
-        corrupt_allowlist=task.corrupt_allowlist,
-        policy=task.policy,
-        allow_partial=task.allow_partial,
-        fault_injector=task.fault_injector,  # type: ignore[arg-type]
-        trace=task.trace,
-        metrics=task.metrics,
-        spans=task.spans,
-    )
-    return ShardResult.of(execution)
+    return execute_shard(worker_world(task.spec), task)  # type: ignore[arg-type]
 
 
 # -- deterministic, picklable fault injection (test seam) ----------------------

@@ -43,15 +43,18 @@ over the whole ranking: the attestation survey is built from the shared
 not just ``D_BA``), and the merged report keeps honest timestamps —
 ``started_at`` is the earliest shard start, ``finished_at`` the latest
 shard finish, so ``duration_seconds`` stays the parallel wall-clock.
-With instrumentation on, every shard records into its own tracer and
-metrics registry; the merge replays shard events into the campaign-level
-tracer tagged with the shard index and folds the metric snapshots
-together, adding per-shard skew gauges.
+Every shard, on either backend, finishes as one plain-data
+:class:`~repro.crawler.executor.ShardResult`.  With instrumentation on
+it carries the shard's trace events, metrics snapshot and spans; the
+merge re-emits the events into the campaign-level tracer tagged with the
+shard index, folds the metric snapshots together (adding per-shard skew
+gauges) and grafts the spans under one campaign root.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable
@@ -69,8 +72,6 @@ from repro.crawler.checkpoint import (
 from repro.crawler.dataset import Dataset
 from repro.crawler.executor import (
     FaultInjector,
-    ShardExecution,
-    ShardOutcome,
     ShardPlan,
     ShardResult,
     ShardRetryRecord,
@@ -81,7 +82,7 @@ from repro.crawler.executor import (
     plan_shards,
     run_shard_task,
 )
-from repro.crawler.wellknown import AttestationSurvey, survey_attestations
+from repro.crawler.wellknown import survey_attestations
 from repro.obs import (
     EventKind,
     MetricsRegistry,
@@ -98,10 +99,10 @@ from repro.web.tranco import TrancoList
 if TYPE_CHECKING:
     from repro.web.generator import SyntheticWeb
 
-#: Streaming hook: called with each finished shard's execution — in
-#: completion order, before the merge runs.  The crawl service hangs
+#: Streaming hook: called with each finished shard's plan and result —
+#: in completion order, before the merge runs.  The crawl service hangs
 #: incremental result events off this seam.
-ShardListener = Callable[[ShardExecution], None]
+ShardListener = Callable[[ShardPlan, ShardResult], None]
 
 
 @dataclass
@@ -180,16 +181,15 @@ class ResumableCrawl:
                 )
             )
         plans = plan_shards(TrancoList(domains), shard_count)
-        executions = self._execute(self._resolve_backend(len(plans)), plans)
+        results = self._execute(self._resolve_backend(len(plans)), plans)
 
-        outcomes: list[ShardOutcome] = []
+        mergeable: list[ShardResult] = []
         missing: list[MissingRange] = []
-        for execution in executions:
-            if execution.outcome is not None:
-                outcomes.append(execution.outcome)
+        for plan, shard in zip(plans, results):
+            if shard.failure is None:
+                mergeable.append(shard)
                 continue
             # Degraded shard: merge its durable prefix, name the hole.
-            plan = execution.plan
             checkpoint = (
                 self._store.latest(plan.shard_index)
                 if self._store is not None
@@ -201,22 +201,20 @@ class ResumableCrawl:
                     shard_index=plan.shard_index,
                     from_rank=plan.rank_offset + visits_done + 1,
                     to_rank=plan.rank_offset + len(plan.domains),
-                    error=execution.failure or "unknown",
+                    error=shard.failure,
                 )
             )
-            outcomes.append(self._degraded_outcome(plan, checkpoint))
+            mergeable.append(self._degraded_result(shard, plan, checkpoint))
 
-        result = self._merge(plans, outcomes)
-        self._emit_recovery_accounting(executions, missing)
+        result = self._merge(plans, mergeable)
+        self._emit_recovery_accounting(results, missing)
         return ResumableOutcome(
             result=result,
-            retries=tuple(
-                retry for execution in executions for retry in execution.retries
-            ),
+            retries=tuple(retry for shard in results for retry in shard.retries),
             resumed_shards=tuple(
-                execution.plan.shard_index
-                for execution in executions
-                if execution.resumed_from is not None
+                plan.shard_index
+                for plan, shard in zip(plans, results)
+                if shard.resumed_from is not None
             ),
             partial=PartialManifest(missing=missing) if missing else None,
         )
@@ -239,8 +237,8 @@ class ResumableCrawl:
 
     def _execute(
         self, backend: ExecutionBackend, plans: list[ShardPlan]
-    ) -> list[ShardExecution]:
-        """Run every shard; returns their executions in plan order.
+    ) -> list[ShardResult]:
+        """Run every shard; returns their results in plan order.
 
         Shards stream back in completion order — each one is handed to
         the shard listener the moment it finishes — then the merge
@@ -248,60 +246,56 @@ class ResumableCrawl:
         however the backend interleaved the work.
         """
         span_listener = self._spans.listener if self._spans.enabled else None
-        knobs = dict(
-            checkpoint_every=self._checkpoint_every,
-            resume=self._resume,
-            corrupt_allowlist=self._corrupt_allowlist,
-            policy=self._policy,
-            allow_partial=self._allow_partial,
-            fault_injector=self._fault_injector,
-            trace=self._tracer.enabled,
-            metrics=self._metrics.enabled,
-            spans=self._spans.enabled,
+        process = backend.name == "process"
+        # Process workers share nothing: each task also carries the world
+        # config + fingerprint, and the worker rebuilds the world.
+        spec = WorldSpec.of(self._world) if process else None
+        checkpoint_dir = (
+            str(self._store.directory) if self._store is not None else None
         )
-        if backend.name == "process":
-            # Process workers share nothing: each receives a picklable
-            # task (world config + fingerprint + its plan), rebuilds the
-            # world, and ships a plain-data result back for rehydration.
-            spec = WorldSpec.of(self._world)
-            checkpoint_dir = (
-                str(self._store.directory) if self._store is not None else None
+        tasks = [
+            ShardTask(
+                plan=plan,
+                checkpoint_dir=checkpoint_dir,
+                checkpoint_every=self._checkpoint_every,
+                resume=self._resume,
+                corrupt_allowlist=self._corrupt_allowlist,
+                policy=self._policy,
+                allow_partial=self._allow_partial,
+                fault_injector=self._fault_injector,
+                trace=self._tracer.enabled,
+                metrics=self._metrics.enabled,
+                spans=self._spans.enabled,
+                spec=spec,
             )
-            worker = run_shard_task
-            tasks: list = [
-                ShardTask(
-                    spec=spec, plan=plan, checkpoint_dir=checkpoint_dir, **knobs
-                )
-                for plan in plans
-            ]
-        else:
-
-            def worker(plan: ShardPlan) -> ShardExecution:
-                return execute_shard(
-                    self._world,
-                    plan,
-                    store=self._store,
-                    span_listener=span_listener,
-                    **knobs,
-                )
-
-            tasks = plans
-        executions: list = [None] * len(plans)
-        for index, done in backend.stream(worker, tasks):
-            if isinstance(done, ShardResult):
-                done = done.execution(plans[index], span_listener=span_listener)
-            executions[index] = done
-            if self._shard_listener is not None and done.outcome is not None:
-                self._shard_listener(done)
-        return executions
+            for plan in plans
+        ]
+        worker = (
+            run_shard_task
+            if process
+            else functools.partial(
+                execute_shard, self._world, span_listener=span_listener
+            )
+        )
+        results: list = [None] * len(plans)
+        for index, shard in backend.stream(worker, tasks):
+            if process and span_listener is not None and shard.spans:
+                # Serial shards fed the listener live; a worker's spans
+                # reach it when its result arrives.
+                for span in shard.spans:
+                    span_listener(span)
+            results[index] = shard
+            if self._shard_listener is not None and shard.failure is None:
+                self._shard_listener(plans[index], shard)
+        return results
 
     # -- degraded shards ------------------------------------------------------
 
     @staticmethod
-    def _degraded_outcome(
-        plan: ShardPlan, checkpoint: ShardCheckpoint | None
-    ) -> ShardOutcome:
-        """A mergeable outcome for a shard that gave up: its durable prefix."""
+    def _degraded_result(
+        shard: ShardResult, plan: ShardPlan, checkpoint: ShardCheckpoint | None
+    ) -> ShardResult:
+        """A mergeable result for a shard that gave up: its durable prefix."""
         if checkpoint is None:
             d_ba, d_aa = Dataset("D_BA"), Dataset("D_AA")
             report = CrawlReport(targets=len(plan.domains))
@@ -309,39 +303,34 @@ class ResumableCrawl:
             d_ba, d_aa = restore_datasets(checkpoint)
             report = CrawlReport(**dataclasses.asdict(checkpoint.report))
             report.finished_at = checkpoint.clock_now
-        result = CrawlResult(
-            d_ba=d_ba,
-            d_aa=d_aa,
-            report=report,
-            allowed_domains=frozenset(),
-            survey=AttestationSurvey(()),
+        return dataclasses.replace(
+            shard, d_ba=d_ba.buffers, d_aa=d_aa.buffers, report=report
         )
-        return ShardOutcome(result=result, tracer=NULL_TRACER, metrics=NULL_METRICS)
 
     # -- merge ------------------------------------------------------------------
 
     def _merge(
-        self, plans: list[ShardPlan], outcomes: list[ShardOutcome]
+        self, plans: list[ShardPlan], results: list[ShardResult]
     ) -> CrawlResult:
         merged_ba = Dataset("D_BA")
         merged_aa = Dataset("D_AA")
         report = CrawlReport()
         instrumented = self._tracer.enabled or self._metrics.enabled
 
-        for position, (plan, outcome) in enumerate(zip(plans, outcomes)):
-            result = outcome.result
+        for position, (plan, shard) in enumerate(zip(plans, results)):
+            shard_report = shard.report
             # Whole-column splice with the rank rebase applied in bulk —
             # the merge never touches per-record objects.
-            merged_ba.extend_rebased(result.d_ba, plan.rank_offset)
-            merged_aa.extend_rebased(result.d_aa, plan.rank_offset)
-            report.targets += result.report.targets
-            report.ok += result.report.ok
-            report.failed += result.report.failed
-            report.banners_seen += result.report.banners_seen
-            report.accepted += result.report.accepted
-            report.retried += result.report.retried
-            report.recovered += result.report.recovered
-            for kind, count in result.report.failure_kinds.items():
+            merged_ba.extend_rebased(shard.d_ba, plan.rank_offset)
+            merged_aa.extend_rebased(shard.d_aa, plan.rank_offset)
+            report.targets += shard_report.targets
+            report.ok += shard_report.ok
+            report.failed += shard_report.failed
+            report.banners_seen += shard_report.banners_seen
+            report.accepted += shard_report.accepted
+            report.retried += shard_report.retried
+            report.recovered += shard_report.recovered
+            for kind, count in shard_report.failure_kinds.items():
                 report.failure_kinds[kind] = (
                     report.failure_kinds.get(kind, 0) + count
                 )
@@ -349,24 +338,24 @@ class ResumableCrawl:
             # when the first shard starts and finishes when the slowest
             # one does, so duration_seconds stays the wall-clock.
             if position == 0:
-                report.started_at = result.report.started_at
+                report.started_at = shard_report.started_at
             else:
                 report.started_at = min(
-                    report.started_at, result.report.started_at
+                    report.started_at, shard_report.started_at
                 )
             report.finished_at = max(
-                report.finished_at, result.report.finished_at
+                report.finished_at, shard_report.finished_at
             )
 
         if instrumented:
-            self._fold_instrumentation(plans, outcomes)
+            self._fold_instrumentation(plans, results)
             self._metrics.gauge("crawl_targets", report.targets)
             self._metrics.gauge("crawl_duration_seconds", report.duration_seconds)
             self._metrics.gauge("shard_count", len(plans))
 
         root_id = None
         if self._spans.enabled:
-            root_id = self._fold_spans(plans, outcomes, report)
+            root_id = self._fold_spans(plans, results, report)
 
         allowed = frozenset(self._world.registry.allowed_domains())
         encountered = attestation_targets(merged_ba, merged_aa, allowed)
@@ -389,19 +378,19 @@ class ResumableCrawl:
         )
 
     def _fold_instrumentation(
-        self, plans: list[ShardPlan], outcomes: list[ShardOutcome]
+        self, plans: list[ShardPlan], results: list[ShardResult]
     ) -> None:
-        """Fold shard tracers and metrics into the campaign-level pair.
+        """Fold shard events and metrics into the campaign-level pair.
 
         Shard events interleave in *time* order — sorted by
         ``(at, shard_index, seq)`` — so the merged trace reads as one
         chronological campaign rather than shard 0's full history
         followed by shard 1's.  Per-shard gauges and the ``shard-merged``
-        lifecycle events follow the replayed history.
+        lifecycle events follow the re-emitted history.
         """
         entries = []
-        for plan, outcome in zip(plans, outcomes):
-            for event in outcome.tracer:
+        for plan, shard in zip(plans, results):
+            for event in shard.events or ():
                 entries.append((event.at, plan.shard_index, event.seq, event))
         entries.sort(key=lambda entry: entry[:3])
         for at, shard_index, _seq, event in entries:
@@ -409,31 +398,30 @@ class ResumableCrawl:
                 event.kind, at, **{**event.fields, "shard": shard_index}
             )
 
-        for plan, outcome in zip(plans, outcomes):
-            result = outcome.result
-            self._metrics.absorb(outcome.metrics.snapshot())
+        for plan, shard in zip(plans, results):
+            report = shard.report
+            if shard.metrics is not None:
+                self._metrics.absorb(shard.metrics)
             self._metrics.gauge(
                 "shard_duration_seconds",
-                result.report.duration_seconds,
+                report.duration_seconds,
                 shard=plan.shard_index,
             )
-            self._metrics.gauge(
-                "shard_visits", result.report.ok, shard=plan.shard_index
-            )
+            self._metrics.gauge("shard_visits", report.ok, shard=plan.shard_index)
             self._tracer.emit(
                 EventKind.SHARD_MERGED,
-                at=result.report.finished_at,
+                at=report.finished_at,
                 shard=plan.shard_index,
-                ok=result.report.ok,
-                failed=result.report.failed,
-                accepted=result.report.accepted,
-                duration_seconds=result.report.duration_seconds,
+                ok=report.ok,
+                failed=report.failed,
+                accepted=report.accepted,
+                duration_seconds=report.duration_seconds,
             )
 
     def _fold_spans(
         self,
         plans: list[ShardPlan],
-        outcomes: list[ShardOutcome],
+        results: list[ShardResult],
         report: CrawlReport,
     ) -> int:
         """Graft shard span trees under one campaign-level root.
@@ -450,8 +438,8 @@ class ResumableCrawl:
             shards=len(plans),
         )
         entries = []
-        for plan, outcome in zip(plans, outcomes):
-            for span in outcome.spans:
+        for plan, shard in zip(plans, results):
+            for span in shard.spans or ():
                 entries.append((span.start, plan.shard_index, span.span_id, span))
         entries.sort(key=lambda entry: entry[:3])
         id_map: dict[tuple[int, int], int] = {}
@@ -465,16 +453,16 @@ class ResumableCrawl:
     # -- recovery accounting --------------------------------------------------
 
     def _emit_recovery_accounting(
-        self, executions: list[ShardExecution], missing: list[MissingRange]
+        self, results: list[ShardResult], missing: list[MissingRange]
     ) -> None:
         """Campaign-level accounting for shards that never recovered."""
         instrumented = self._tracer.enabled or self._metrics.enabled
         if not instrumented:
             return
-        for execution in executions:
-            if execution.outcome is not None:
+        for shard in results:
+            if shard.failure is None:
                 continue  # recovered shards folded their own retries
-            for retry in execution.retries:
+            for retry in shard.retries:
                 self._metrics.counter("shard_retries_total")
                 self._metrics.counter(
                     "shard_backoff_seconds_total", retry.backoff_seconds

@@ -217,34 +217,6 @@ class SpanRecorder:
         if self.listener is not None:
             self.listener(span)
 
-    @classmethod
-    def from_spans(
-        cls,
-        spans: Iterable[Span],
-        capacity: int = DEFAULT_SPAN_CAPACITY,
-        listener: Callable[[Span], None] | None = None,
-        common_fields: dict | None = None,
-    ) -> "SpanRecorder":
-        """Rehydrate a recorder from completed spans, ids preserved.
-
-        The inverse of shipping ``recorder.spans()`` across a process
-        boundary: the rebuilt recorder is indistinguishable from the
-        original to consumers of ``spans()``/``spans_by_start()``/
-        iteration — span ids and parent links survive verbatim, so merge
-        id-remapping works unchanged.  The listener does **not** fire
-        for rehydrated spans; callers decide whether to replay them.
-        """
-        recorder = cls(
-            capacity=capacity, listener=listener, common_fields=common_fields
-        )
-        highest = -1
-        for span in spans:
-            recorder._completed.append(span)
-            recorder._recorded += 1
-            highest = max(highest, span.span_id)
-        recorder._next_id = highest + 1
-        return recorder
-
     def adopt(self, span: Span, parent_id: int | None, **extra_fields) -> int:
         """Graft a foreign (e.g. shard-local) span into this recorder.
 

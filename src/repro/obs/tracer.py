@@ -18,7 +18,7 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from repro.util.fsio import BufferedLineWriter
 from repro.util.timeline import Timestamp
@@ -215,15 +215,6 @@ class Tracer:
                     )
                 return None
         return None
-
-    def replay(
-        self, events: Iterable[TraceEvent], **extra_fields
-    ) -> None:
-        """Re-emit ``events`` into this tracer (sequence numbers are
-        reassigned), tagging each with ``extra_fields`` — how shard-local
-        traces fold into the campaign-level trace."""
-        for event in events:
-            self.emit(event.kind, event.at, **{**event.fields, **extra_fields})
 
 
 class NullTracer(Tracer):

@@ -39,7 +39,7 @@ from typing import Protocol, Sequence
 
 from repro.obs import MetricsRegistry, NULL_METRICS, NULL_RECORDER, SpanRecorder
 from repro.obs.spans import SPAN_REID_LINKAGE
-from repro.util.executor import ExecutionBackend, create_backend
+from repro.util.executor import ExecutionBackend, contiguous_slices, create_backend
 
 #: One caller's view of one user: a topic-id tuple per queried epoch.
 ProfileView = Sequence[tuple[int, ...]]
@@ -387,14 +387,7 @@ def link_profiles(
         workers = getattr(resolved, "max_workers", 1)
         count = shard_count if shard_count is not None else workers
         count = max(1, min(count, size or 1))
-        bounds: list[tuple[int, int]] = []
-        base, remainder = divmod(size, count)
-        start = 0
-        for index in range(count):
-            span = base + (1 if index < remainder else 0)
-            if span:
-                bounds.append((start, start + span))
-            start += span
+        bounds = contiguous_slices(size, count)
         if resolved.name == "process":
             results = resolved.map(
                 _rank_shard, [(linkage, lo, hi) for lo, hi in bounds]

@@ -62,17 +62,14 @@ class CellConfig:
     def world_config(self) -> WorldConfig:
         """Materialise the cell's :class:`WorldConfig`.
 
-        ``sites`` scales through :meth:`WorldConfig.small` below paper
-        scale so the long-tail pool shrinks proportionally, exactly like
-        the CLI's ``--sites``.
+        ``sites`` scales through :meth:`WorldConfig.small`, so the
+        long-tail pool scales proportionally, exactly like the CLI's
+        ``--sites``.
         """
         overrides = self.world_dict()
         sites = int(overrides.pop("sites", 50_000))
         seed = int(overrides.pop("seed", 1))
-        if sites >= 50_000:
-            config = WorldConfig(seed=seed)
-        else:
-            config = WorldConfig.small(sites, seed=seed)
+        config = WorldConfig.small(sites, seed=seed)
         for key, value in sorted(overrides.items()):
             setattr(config, key, value)
         config.vantage = vantage_by_name(self.vantage)

@@ -181,10 +181,7 @@ class JobSpec:
 
     def world_config(self) -> WorldConfig:
         """The deterministic world this spec crawls (CLI-equivalent)."""
-        if self.sites >= 50_000:
-            config = WorldConfig(seed=self.seed)
-        else:
-            config = WorldConfig.small(self.sites, seed=self.seed)
+        config = WorldConfig.small(self.sites, seed=self.seed)
         config.vantage = vantage_by_name(self.vantage)
         return config
 

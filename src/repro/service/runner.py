@@ -37,8 +37,9 @@ from repro.crawler.executor import (
     CancelFlag,
     CompositeInjector,
     CrashSchedule,
-    ShardExecution,
     ShardFailedError,
+    ShardPlan,
+    ShardResult,
 )
 from repro.crawler.resumable import ResumableCrawl, ResumableOutcome
 from repro.obs import (
@@ -99,7 +100,7 @@ class JobRunResult:
     outcome: ResumableOutcome
 
 
-def shard_result_payload(execution: ShardExecution) -> dict:
+def shard_result_payload(plan: ShardPlan, shard: ShardResult) -> dict:
     """The incremental ``shard-result`` event body for one finished shard.
 
     Carries the shard's Before-Accept rows **rebased to global ranks** —
@@ -107,18 +108,16 @@ def shard_result_payload(execution: ShardExecution) -> dict:
     ``d_ba.jsonl`` — so a streaming consumer can reassemble the batch
     dataset without waiting for the merge.
     """
-    plan = execution.plan
-    result = execution.outcome.result
     rebased = Dataset("D_BA")
-    rebased.extend_rebased(result.d_ba, plan.rank_offset)
+    rebased.extend_rebased(shard.d_ba, plan.rank_offset)
     return {
         "shard": plan.shard_index,
         "rank_offset": plan.rank_offset,
         "domains": len(plan.domains),
-        "ok": result.report.ok,
-        "accepted": result.report.accepted,
-        "retries": len(execution.retries),
-        "resumed_from": execution.resumed_from,
+        "ok": shard.report.ok,
+        "accepted": shard.report.accepted,
+        "retries": len(shard.retries),
+        "resumed_from": shard.resumed_from,
         "d_ba": [record.to_json() for record in rebased],
     }
 
@@ -180,8 +179,8 @@ def run_job(
         )
         spans = SpanRecorder(listener=progress)
 
-        def shard_listener(execution: ShardExecution) -> None:
-            emit(EVENT_SHARD_RESULT, shard_result_payload(execution))
+        def shard_listener(plan: ShardPlan, shard: ShardResult) -> None:
+            emit(EVENT_SHARD_RESULT, shard_result_payload(plan, shard))
 
     crawl = ResumableCrawl(
         world,

@@ -46,7 +46,12 @@ from repro.users.population import (
     PopulationSpec,
     worker_population,
 )
-from repro.util.executor import ExecutionBackend, create_backend, is_picklable
+from repro.util.executor import (
+    ExecutionBackend,
+    contiguous_slices,
+    create_backend,
+    is_picklable,
+)
 from repro.util.psl import etld_plus_one
 from repro.util.rng import RngStream
 from repro.util.timeline import EPOCH_DURATION
@@ -200,14 +205,9 @@ class TraceGenerator:
         count = shard_count if shard_count is not None else workers
         count = max(1, min(count, len(ids) or 1))
 
-        shards: list[tuple[int, ...]] = []
-        base, remainder = divmod(len(ids), count)
-        start = 0
-        for index in range(count):
-            size = base + (1 if index < remainder else 0)
-            if size:
-                shards.append(ids[start : start + size])
-            start += size
+        shards = [
+            ids[start:stop] for start, stop in contiguous_slices(len(ids), count)
+        ]
 
         merged = TraceBuffers(self._callers, query)
         if resolved.name == "process":

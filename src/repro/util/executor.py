@@ -193,6 +193,24 @@ def create_backend(
     return SerialBackend()
 
 
+def contiguous_slices(total: int, count: int) -> list[tuple[int, int]]:
+    """Split ``range(total)`` into ``count`` contiguous ``(start, stop)`` slices.
+
+    The first ``total % count`` slices take one extra item; empty slices
+    (only ever trailing ones, when ``count > total``) are dropped.  Every
+    sharded workload partitions its inputs with this one helper.
+    """
+    base, remainder = divmod(total, count)
+    slices: list[tuple[int, int]] = []
+    start = 0
+    for index in range(count):
+        stop = start + base + (1 if index < remainder else 0)
+        if stop > start:
+            slices.append((start, stop))
+        start = stop
+    return slices
+
+
 def is_picklable(value: object) -> bool:
     """Whether ``value`` survives the process-pool boundary."""
     try:

@@ -184,10 +184,11 @@ class WorldConfig:
 
     @classmethod
     def small(cls, site_count: int = 2_000, seed: int = 1) -> "WorldConfig":
-        """A reduced world for tests: same shape, faster to build.
+        """A world of ``site_count`` sites: same shape at any scale.
 
-        The long-tail pool shrinks proportionally so unique-third-party
-        coverage behaves like the full-scale world.
+        The long-tail pool scales proportionally so unique-third-party
+        coverage behaves like the full-scale world; at 50,000 sites this
+        is exactly the paper-scale default configuration.
         """
         scale = site_count / 50_000
         return cls(

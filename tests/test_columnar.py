@@ -264,23 +264,3 @@ class TestDatasetFacade:
         )
         first = next(iter(dataset))
         assert next(iter(dataset)) is first  # lazy, materialised once
-
-    def test_from_buffers_shares_columns(self):
-        buffers = VisitBuffers()
-        buffers.append_visit(
-            rank=3,
-            domain="a.com",
-            final_domain="a.com",
-            url="https://www.a.com/",
-            final_url="https://www.a.com/",
-            phase=PHASE_AFTER,
-            banner_present=True,
-            banner_language="en",
-            accept_clicked=True,
-            cmp=None,
-            third_parties=("x.com",),
-        )
-        dataset = Dataset.from_buffers("D_AA", buffers)
-        assert dataset.buffers is buffers
-        assert len(dataset) == 1
-        assert dataset.by_domain("a.com").rank == 3

@@ -35,13 +35,6 @@ class TestProtocol:
         result = CrawlCampaign(world, limit=50).run()
         assert result.report.targets == 50
 
-    def test_progress_callback(self, world):
-        seen = []
-        CrawlCampaign(
-            world, limit=2000, progress=lambda done, total: seen.append(done)
-        ).run()
-        assert seen == [1000, 2000]
-
     def test_crawl_duration_paced(self, crawl, world):
         # ~1.5 s per visit; the paper's 50k crawl "ends after about one
         # day".  At our scale the same pacing holds proportionally.

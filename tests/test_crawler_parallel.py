@@ -4,6 +4,10 @@ import pytest
 
 from repro.crawler.executor import plan_shards
 from repro.crawler.resumable import ResumableCrawl
+from repro.obs import SpanRecorder
+from repro.util.executor import contiguous_slices
+from repro.web.config import WorldConfig
+from repro.web.generator import WebGenerator
 from repro.web.tranco import TrancoList
 
 
@@ -32,6 +36,40 @@ class TestPlanning:
     def test_invalid_count(self):
         with pytest.raises(ValueError):
             plan_shards(TrancoList.of(["a.com"]), 0)
+
+    def test_contiguous_slices(self):
+        assert contiguous_slices(10, 3) == [(0, 4), (4, 7), (7, 10)]
+        assert contiguous_slices(2, 5) == [(0, 1), (1, 2)]
+        assert contiguous_slices(0, 3) == []
+
+
+class TestSpanDelivery:
+    """The campaign's live span listener sees every span exactly once.
+
+    Serial shards feed it as their spans complete; process workers'
+    spans reach it when their result arrives.  Spans grafted into the
+    campaign recorder by the merge must not fire it again.
+    """
+
+    @pytest.fixture(scope="class")
+    def small_world(self):
+        return WebGenerator(WorldConfig.small(300, seed=1)).generate()
+
+    @pytest.mark.parametrize("backend", ["serial", "process"])
+    def test_each_span_delivered_once(self, small_world, backend):
+        seen = []
+        finished = []
+        recorder = SpanRecorder(listener=seen.append)
+        ResumableCrawl(
+            small_world,
+            None,
+            shard_count=3,
+            backend=backend,
+            spans=recorder,
+            shard_listener=lambda plan, shard: finished.append(plan.shard_index),
+        ).run()
+        assert len(seen) == len(recorder) > 0
+        assert sorted(finished) == [0, 1, 2]
 
 
 class TestShardedCrawl:

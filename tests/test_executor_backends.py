@@ -20,9 +20,9 @@ from repro.crawler.executor import (
     ShardFailedError,
     WorldReconstructionError,
     WorldSpec,
-    _world_for,
     effective_shard_count,
     world_fingerprint,
+    worker_world,
 )
 from repro.crawler.resumable import ResumableCrawl
 from repro.util.executor import (
@@ -324,4 +324,4 @@ class TestPicklingSeams:
     def test_fingerprint_mismatch_refused(self, tiny_world):
         bogus = WorldSpec(config=tiny_world.config, fingerprint="0" * 16)
         with pytest.raises(WorldReconstructionError):
-            _world_for(bogus)
+            worker_world(bogus)

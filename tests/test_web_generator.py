@@ -47,6 +47,32 @@ class TestStructure:
             WorldConfig(region_weights={Region.COM: 0.5})
 
 
+class TestWorldScale:
+    """``--sites``/``JobSpec.sites`` size the world at any scale.
+
+    Config-only: none of these generate a world.
+    """
+
+    @pytest.mark.parametrize("seed", [1, 3, 7])
+    def test_small_at_paper_scale_is_the_default(self, seed):
+        assert WorldConfig.small(50_000, seed=seed) == WorldConfig(seed=seed)
+
+    def test_cli_config_above_paper_scale(self):
+        from argparse import Namespace
+
+        from repro.cli import _world_config
+
+        config = _world_config(Namespace(sites=60_000, seed=1, vantage="eu"))
+        assert config.site_count == 60_000
+
+    def test_job_spec_config_above_paper_scale(self):
+        from repro.service.jobs import JobSpec
+
+        spec = JobSpec(sites=60_000)
+        assert spec.world_config().site_count == 60_000
+        assert spec.world_key()[0] == 60_000
+
+
 class TestDeterminism:
     def test_same_seed_same_world(self):
         config = WorldConfig.small(300, seed=9)

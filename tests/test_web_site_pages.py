@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.browser.browser import Browser
 from repro.browser.topics.types import ApiCallType
 from repro.util.urls import https
 from repro.web.banner import ConsentBanner
@@ -10,6 +9,7 @@ from repro.web.generator import SyntheticWeb
 from repro.web.page import IFrameTag, ScriptKind
 from repro.web.site import RogueVariant, Website
 from repro.web.tlds import Region
+from tests.pagewalk import PageWalkBrowser
 
 
 class TestBuildPage:
@@ -111,7 +111,9 @@ class TestDeclarativeTopicsIframe:
         del world._sites_by_domain["handmade.com"]  # noqa: SLF001
 
     def test_iframe_attr_calls_as_frame_source(self, custom_world):
-        browser = Browser(custom_world, corrupt_allowlist=False)
+        # A hand-built page is invisible to compiled plans; the page-walk
+        # reference browser owns the DOM-walk semantics under test.
+        browser = PageWalkBrowser(custom_world, corrupt_allowlist=False)
         outcome = browser.visit("handmade.com", consent_granted=True)
         iframe_calls = [
             call
